@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from . import frame as frame_mod
@@ -42,9 +43,10 @@ def _expr_dict(e: Expr, registry) -> dict:
 
 
 def _load(args):
+    # Bundled entries are validated by the test suite; user entries at load.
     try:
         spec = liegroup.catalog(args.entry, catalog_dir=args.catalog_dir,
-                                validate=False)
+                                validate=args.catalog_dir is not None)
     except liegroup.UnknownEntryError as exc:
         raise CliError(str(exc), 2)
     return spec
@@ -58,7 +60,7 @@ def _lagrangian(args, frame):
         raise CliError(f"cannot parse Lagrangian: {exc}", 3)
     try:
         return varcalc.make_lagrangian(
-            frame, expr, syzygy_constraint=getattr(args, "syzygy_multiplier", False))
+            frame, expr, syzygy_constraint=args.syzygy_multiplier)
     except varcalc.DerivationError as exc:
         raise CliError(str(exc), 4)
 
@@ -66,7 +68,8 @@ def _lagrangian(args, frame):
 def cmd_catalog(args) -> dict:
     entries = []
     for name in liegroup.CATALOG_NAMES:
-        spec = liegroup.catalog(name, catalog_dir=args.catalog_dir, validate=False)
+        spec = liegroup.catalog(name, catalog_dir=args.catalog_dir,
+                                validate=args.catalog_dir is not None)
         entries.append({
             "name": spec.name,
             "description": spec.description,
@@ -99,7 +102,8 @@ def cmd_derive(args) -> dict:
     try:
         ctx = varcalc._context(frame, L)
         el = varcalc.invariant_el(L, ctx.H)
-        bc = varcalc.boundary_coeffs(L, ctx.H, verify=not args.no_verify, ctx=ctx)
+        bc = varcalc.boundary_coeffs(L, ctx.H, verify=not args.no_verify,
+                                     rng=random.Random(args.seed), ctx=ctx)
         el_out = dict(el)
         lam = None
         if L.constraint is not None and L.constraint_kind == "parametrization":
@@ -135,7 +139,8 @@ def cmd_laws(args) -> dict:
     frame = frame_mod.solve_frame(spec, verify=False)
     L = _lagrangian(args, frame)
     try:
-        laws = varcalc.noether_laws(L, frame, verify=not args.no_verify)
+        laws = varcalc.noether_laws(L, frame, verify=not args.no_verify,
+                                    rng=random.Random(args.seed))
     except varcalc.VerificationFailure as exc:
         raise CliError(str(exc), 4)
     except (varcalc.DerivationError, SymExprError) as exc:

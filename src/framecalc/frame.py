@@ -17,12 +17,12 @@ which syzygy operators D_tau kappa_j = sum_a H_ja I^a_tau are collected.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import sympy as sp
 
-from . import jetcalc
-from .jetcalc import JetSpace, MultiIndex, total_derivative, total_derivative_multi
+from .jetcalc import TAU, JetSpace, MultiIndex, total_derivative, total_derivative_multi
 from .liegroup import GroupActionSpec
 from .symexpr import (
     Expr,
@@ -41,7 +41,6 @@ __all__ = [
     "InvariantTable",
     "SyzygyOperators",
     "FrameVerificationError",
-    "DomainError",
     "NotInvariantError",
     "NonlinearSolveError",
     "CollectionError",
@@ -52,14 +51,7 @@ __all__ = [
     "syzygy_operators",
 ]
 
-TAU = "tau"
-
-
 class FrameVerificationError(SymExprError):
-    pass
-
-
-class DomainError(SymExprError):
     pass
 
 
@@ -81,6 +73,10 @@ class MovingFrame:
 
     spec: GroupActionSpec
     params: dict[str, Expr]  # free group parameters as jet-coordinate exprs
+    # The deepest tau-extended table built so far, as (depth, table,
+    # tau expansions); see varcalc._context.
+    tau_context: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def registry(self):
@@ -121,12 +117,11 @@ class MovingFrame:
                 out[name] = c["value"] if K.order == 0 else Expr(0)
         return out
 
+    @cached_property
     def relations(self) -> dict:
-        """Cached generator syzygy relations (see generator_relations)."""
-        if not hasattr(self, "_relations"):
-            from .varcalc import generator_relations
-            self._relations = generator_relations(self)
-        return self._relations
+        """Generator syzygy relations (see varcalc.generator_relations)."""
+        from .varcalc import generator_relations
+        return generator_relations(self)
 
 
 def invariantize(e: Expr, frame: MovingFrame, tau: bool = False) -> Expr:
@@ -189,8 +184,7 @@ def solve_frame(spec: GroupActionSpec, verify: bool = True, samples: int = 50,
 def _check_equivariance(frame: MovingFrame, samples: int, rng: random.Random,
                         tol: float) -> None:
     spec = frame.spec
-    n_order = max(frame.jet_space().parse_coord(c)[1].order
-                  for c, _ in spec.normalizations)
+    n_order = spec.frame_order
     pro = spec.prolonged_action(n_order)
     js = frame.jet_space()
     coord_names = [name for _, _, name in js.coords_up_to(n_order)]
@@ -284,6 +278,7 @@ class InvariantTable:
     tau: bool
     explicit: dict[str, Expr]
     genform: dict[str, Expr]
+    isym_coord: dict[str, str]  # I^a_{tau J} symbol -> tau-coordinate name
 
     @property
     def spec(self):
@@ -315,52 +310,25 @@ class InvariantTable:
             base = {g["name"]: g["explicit"] for g in self.spec.generators}
             if gname not in base:
                 raise SymExprError(f"{name} is not a generator-space coordinate")
-            js_probe = self.frame.jet_space(order=2)
-            gen_order = max(js_probe.parse_coord(g["coordinate"])[1].order
-                            for g in self.spec.generators)
-            js = self.frame.jet_space(order=K.order + gen_order + 2,
+            js = self.frame.jet_space(order=K.order + self.spec.generator_order + 2,
                                       tau=self.tau)
             KK = MultiIndex(K.counts + (0,)) if self.tau else K
             return total_derivative_multi(base[gname], KK, js)
-        isym = self._isym_explicit()
-        if name in isym:
-            return isym[name]
+        if name in self.isym_coord:
+            return self.explicit[self.isym_coord[name]]
         raise SymExprError(f"no explicit form for symbol {name}")
-
-    def _isym_names(self) -> dict[str, str]:
-        """I-symbol name -> tau-coordinate name."""
-        out = {}
-        for cname, form in self.genform.items():
-            fs = form.sympy
-            if isinstance(fs, sp.Symbol) and fs.name.startswith("I") and fs.name.endswith(TAU):
-                out[fs.name] = cname
-        return out
-
-    def _isym_explicit(self) -> dict[str, Expr]:
-        if not self.tau:
-            return {}
-        cache = getattr(self, "_isym_cache", None)
-        if cache is None:
-            cache = {iname: self.explicit[cname]
-                     for iname, cname in self._isym_names().items()}
-            self._isym_cache = cache
-        return cache
 
     def generators_to_jets(self, e: Expr) -> Expr:
         """Substitute every generator-space symbol (and I^a_{tau J} symbol)
         in e by its explicit jet form."""
         bind = {}
         inv_js = self.frame.inv_space()
-        isym_names = self._isym_names() if self.tau else {}
         for name in e.free_names():
-            if name in isym_names:
-                bind[name] = self.explicit[isym_names[name]]
+            if name in self.isym_coord:
+                bind[name] = self.explicit[self.isym_coord[name]]
             elif inv_js.parse_coord(name) is not None:
                 bind[name] = self.generator_explicit(name)
         return subst(e, bind)
-
-    def constraint_reduction(self) -> dict[str, Expr]:
-        return self.frame.constraint_reduction()
 
     def to_json_dict(self) -> dict:
         """Serializable table (golden-file form): per coordinate the
@@ -394,10 +362,10 @@ def build_invariant_table(frame: MovingFrame, order: int, tau: bool = False) -> 
 
     explicit: dict[str, Expr] = _LazyExplicit(frame, tau)
     genform: dict[str, Expr] = {}
+    isym_coord: dict[str, str] = {}
 
-    max_norm_order = max(js.parse_coord(c)[1].order for c in normalized)
-    if order < max_norm_order:
-        raise SymExprError(f"table order {order} below normalization order {max_norm_order}")
+    if order < spec.frame_order:
+        raise SymExprError(f"table order {order} below normalization order {spec.frame_order}")
 
     def tau_count(K: MultiIndex) -> int:
         return K.counts[-1] if tau else 0
@@ -423,6 +391,7 @@ def build_invariant_table(frame: MovingFrame, order: int, tau: bool = False) -> 
                 if not registry.known(iname):
                     registry.register(iname, KIND_AUXILIARY)
                 genform[name] = registry.expr(iname)
+                isym_coord[iname] = name
             else:
                 unknowns[name] = sp.Symbol(f"_E_{name}")
         if not unknowns:
@@ -472,8 +441,13 @@ def build_invariant_table(frame: MovingFrame, order: int, tau: bool = False) -> 
                 continue
             seen_routes.add(route)
             pname, i = route
+            # I^a_{tau J} symbols are inert under the formal D_i (their
+            # derivative relations are what the recurrence solves for), so
+            # a parent form must be free of them.
+            if genform[pname].free_names() & isym_coord.keys():
+                raise SymExprError("formal derivative of an I-symbol form is not defined")
             eq = sp.expand(
-                _formal_derivative(genform[pname], i, frame, inv_js, js).sympy
+                total_derivative(genform[pname], i, inv_js).sympy
                 - repl_mixed(total_derivative(explicit[pname], i, js)))
             eqs.append(eq)
 
@@ -493,18 +467,7 @@ def build_invariant_table(frame: MovingFrame, order: int, tau: bool = False) -> 
                 raise SymExprError(f"underdetermined table entry for {nm}")
             genform[nm] = canonical(Expr(val))
 
-    return InvariantTable(frame, order, tau, explicit, genform)
-
-
-def _formal_derivative(e: Expr, i: int, frame: MovingFrame, inv_js: JetSpace,
-                       js: JetSpace) -> Expr:
-    """Total derivative in the formal generator space; for tau-extended
-    tables the I^a_{tau J} symbols are inert under D_i here (their
-    derivative relations are what the recurrence is solving for), so this
-    is only ever called on tau-free generator forms."""
-    if any(n.startswith("I") and n.endswith(TAU) for n in e.free_names()):
-        raise SymExprError("formal derivative of an I-symbol form is not defined")
-    return total_derivative(e, i, inv_js)
+    return InvariantTable(frame, order, tau, explicit, genform, isym_coord)
 
 
 def rewrite_in_invariants(e: Expr, table: InvariantTable,

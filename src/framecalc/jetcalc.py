@@ -2,7 +2,9 @@
 the Euler operator, and exact inversion of total derivatives.
 
 A JetSpace registers coordinate symbols u^a_K (named like u, u_x, u_xxt)
-into a SymbolRegistry, up to a truncation order. The same machinery
+into a SymbolRegistry, up to a truncation order, together with their
+structure (dependent u^a, derivative counts K), which the registry then
+answers for every space over the same variables. The same machinery
 serves the classical jet bundle over (x_i, u^a) and the formal "invariant
 jet space" whose dependent variables are generating invariants (sigma,
 kappa, eta), so the Euler operator below is used for both E^u(L) and
@@ -28,7 +30,6 @@ __all__ = [
     "JetSpace",
     "VectorField",
     "TruncationError",
-    "DegenerateJacobianError",
     "NotTotalDerivativeError",
     "total_derivative",
     "prolong_action",
@@ -39,10 +40,6 @@ __all__ = [
 
 
 class TruncationError(SymExprError):
-    pass
-
-
-class DegenerateJacobianError(SymExprError):
     pass
 
 
@@ -111,7 +108,8 @@ def _suffix(ind_names, counts) -> str:
 
 
 class JetSpace:
-    """Coordinates {x_i} and {u^a_K : |K| <= order} registered as symbols."""
+    """Coordinates {x_i} and {u^a_K : |K| <= order} registered as symbols,
+    each coordinate with its (dependent, multi-index) structure."""
 
     def __init__(self, independent, dependent, order: int = 8,
                  registry: SymbolRegistry | None = None, positive=(),
@@ -121,7 +119,6 @@ class JetSpace:
         self.order = int(order)
         self.registry = registry if registry is not None else SymbolRegistry()
         self.kind = kind
-        self._coord_names: dict[tuple[str, MultiIndex], str] = {}
         positive = set(positive)
         for x in self.independent:
             if not self.registry.known(x):
@@ -131,6 +128,7 @@ class JetSpace:
                 name = self.coord_name(dep, K)
                 if not self.registry.known(name):
                     self.registry.register(name, kind, positive=name in positive)
+                self.registry.record_jet(name, dep, zip(self.independent, K.counts))
 
     @property
     def p(self) -> int:
@@ -157,32 +155,18 @@ class JetSpace:
         return out
 
     def parse_coord(self, name: str):
-        """Inverse of coord_name; None when not a coordinate of this space.
-
-        Dependent names may themselves contain underscores (Iu_tau), so the
-        longest matching dependent prefix wins."""
-        if name in self.dependent:
-            return name, MultiIndex.zero(self.p)
-        by_len = sorted(range(self.p), key=lambda j: -len(self.independent[j]))
-        for dep in sorted(self.dependent, key=len, reverse=True):
-            if not name.startswith(dep + "_"):
-                continue
-            suffix = name[len(dep) + 1:]
-            counts = [0] * self.p
-            i = 0
-            ok = True
-            while i < len(suffix):
-                for j in by_len:
-                    if suffix.startswith(self.independent[j], i):
-                        counts[j] += 1
-                        i += len(self.independent[j])
-                        break
-                else:
-                    ok = False
-                    break
-            if ok and suffix:
-                return dep, MultiIndex(tuple(counts))
-        return None
+        """(dependent, multi-index) of a registered jet coordinate of any
+        order; None when the name is no jet coordinate, or its dependent or
+        one of its independents is foreign to this space."""
+        jet = self.registry.jet(name)
+        if jet is None or jet[0] not in self.dependent:
+            return None
+        counts = [0] * self.p
+        for x, c in jet[1]:
+            if x not in self.independent:
+                return None
+            counts[self.independent.index(x)] = c
+        return jet[0], MultiIndex(tuple(counts))
 
     def max_order_in(self, e: Expr) -> int:
         n = 0
@@ -191,13 +175,6 @@ class JetSpace:
             if parsed is not None:
                 n = max(n, parsed[1].order)
         return n
-
-    def extended(self, extra_independent: str, order: int | None = None,
-                 registry: SymbolRegistry | None = None) -> "JetSpace":
-        """New space with one more independent variable (the dummy tau)."""
-        return JetSpace(self.independent + (extra_independent,), self.dependent,
-                        order=self.order if order is None else order,
-                        registry=registry, kind=self.kind)
 
 
 def total_derivative(e: Expr, i: int, js: JetSpace) -> Expr:
@@ -274,31 +251,15 @@ def prolong_action(spec, order: int, js: JetSpace | None = None,
                    existing: dict[str, Expr] | None = None,
                    index_filter=None) -> dict[str, Expr]:
     """Transformed jet coordinates g.u^a_K as expressions in jet coordinates
-    and group parameters, by the chain rule through the transformed
-    independent variables.
-
-    ``spec`` provides .action (dep name -> Expr on base coordinates) and,
-    implicitly, that independent variables are fixed; the Jacobian branch
-    is kept general and raises on a degenerate configuration.
+    and group parameters. ``spec.action`` maps each dependent to its
+    transform on base coordinates; the independent variables are fixed, so
+    g.u^a_{K+e_i} = D_i(g.u^a_K).
     """
     js = js if js is not None else spec.jet_space(order + 1)
-    action = {dep: spec.action[dep] for dep in js.dependent}
-    # Transformed independents: identity for the whole catalog; a spec may
-    # carry independent_action to exercise the general chain rule.
-    ind_action = getattr(spec, "independent_action", None) or {}
-    xt = {x: ind_action.get(x, js.registry.expr(x)) for x in js.independent}
-    jac = sp.Matrix(js.p, js.p,
-                    lambda i, j: total_derivative(xt[js.independent[j]], i, js).sympy)
-    det = sp.cancel(jac.det())
-    if det == 0:
-        raise DegenerateJacobianError("transformed-independents Jacobian is singular")
-    inv = jac.inv()
-
     out: dict[str, Expr] = dict(existing) if existing else {}
     for dep in js.dependent:
-        name = js.coord_name(dep, MultiIndex.zero(js.p))
-        if name not in out:
-            out[name] = canonical(action[dep])
+        if dep not in out:
+            out[dep] = canonical(spec.action[dep])
     for n in range(order):
         for dep in js.dependent:
             for K in MultiIndex.all_of_order(js.p, n):
@@ -307,20 +268,13 @@ def prolong_action(spec, order: int, js: JetSpace | None = None,
                 name0 = js.coord_name(dep, K)
                 if name0 not in out:
                     continue
-                cur = out[name0]
                 for i in range(js.p):
                     KK = K.bump(i)
                     if index_filter is not None and not index_filter(KK):
                         continue
                     name = js.coord_name(dep, KK)
-                    if name in out:
-                        continue
-                    tilde = sp.Integer(0)
-                    for j in range(js.p):
-                        if inv[i, j] == 0:
-                            continue
-                        tilde += inv[i, j] * total_derivative(cur, j, js).sympy
-                    out[name] = canonical(Expr(tilde))
+                    if name not in out:
+                        out[name] = total_derivative(out[name0], i, js)
     return out
 
 

@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 
 import sympy as sp
@@ -167,13 +168,17 @@ class GroupActionSpec:
         self.normalizations: tuple[tuple[str, Expr], ...] = tuple(
             (n["coordinate"], parse(n["value"], self.registry))
             for n in data["normalizations"])
+        # Order of the frame: the highest normalized coordinate.
+        self.frame_order = max(self._coord_order(c) for c, _ in self.normalizations)
         self.frame_exprs: dict[str, Expr] = {p: parse(t, self.registry)
                                              for p, t in data["frame"].items()}
         self.generators: tuple[dict, ...] = tuple(
             {"name": gen["name"], "coordinate": gen["coordinate"],
+             "order": self._coord_order(gen["coordinate"]),
              "explicit": parse(gen["explicit"], self.registry),
              "positive": bool(gen.get("positive", False))}
             for gen in data["generators"])
+        self.generator_order = max(g["order"] for g in self.generators)
         c = data.get("constraint")
         self.constraint: dict | None = None
         if c is not None:
@@ -205,6 +210,22 @@ class GroupActionSpec:
     def jet_space(self, order: int = 8) -> JetSpace:
         return JetSpace(self.independent, self.dependent, order=order,
                         registry=self.registry, positive=self.positive)
+
+    def _coord_order(self, name: str) -> int:
+        parsed = self._base_space.parse_coord(name)
+        if parsed is None:
+            raise CatalogError(f"{self.name}: {name!r} is not a jet coordinate")
+        return parsed[1].order
+
+    # -- derived facts, built once per entry ------------------------------
+    @cached_property
+    def adjoint(self) -> "AdjointMatrix":
+        """Ad(g) from adjoint_matrix without its verification."""
+        return adjoint_matrix(self, verify=False)
+
+    @cached_property
+    def structure_constants(self) -> dict[tuple[int, int], tuple[sp.Rational, ...]]:
+        return _structure_constants(self)
 
     # -- parameter algebra ------------------------------------------------
     def subst_derived(self, e: Expr) -> Expr:
@@ -494,18 +515,15 @@ def _structure_constants(spec: GroupActionSpec) -> dict[tuple[int, int], tuple[s
 def ad_matrix_of_basis(spec: GroupActionSpec, i: int) -> sp.Matrix:
     """Row-convention matrix of ad_{v_i}: row j holds the coefficients of
     [v_i, v_j] in the basis."""
-    sc = _structure_constants(spec)
+    sc = spec.structure_constants
     r = spec.r
     return sp.Matrix(r, r, lambda j, k: sc[(i, j)][k])
 
 
 def killing_form(spec: GroupActionSpec) -> KillingMatrix:
     """B_ij = trace(ad_{v_i} ad_{v_j}), exact rational."""
-    sc = _structure_constants(spec)
     r = spec.r
-    ads = []
-    for i in range(r):
-        ads.append(sp.Matrix(r, r, lambda j, k: sc[(i, j)][k]))
+    ads = [ad_matrix_of_basis(spec, i) for i in range(r)]
     entries = []
     for i in range(r):
         row = []

@@ -108,12 +108,15 @@ class SymbolRegistry:
 
     Positivity assumptions (needed for half-integer powers, e.g. u_x > 0)
     are attached to the underlying sympy symbols at registration time.
+    Jet coordinates u^a_K also carry their structure: the dependent
+    variable and the derivative count per independent variable name.
     """
 
     def __init__(self):
         self._ids: dict[str, SymbolId] = {}
         self._syms: dict[str, sp.Symbol] = {}
         self._positive: dict[str, bool] = {}
+        self._jets: dict[str, tuple[str, tuple[tuple[str, int], ...]]] = {}
 
     def register(self, name: str, kind: str, positive: bool = False) -> SymbolId:
         if name in self._ids:
@@ -132,6 +135,19 @@ class SymbolRegistry:
 
     def known(self, name: str) -> bool:
         return name in self._ids
+
+    def record_jet(self, name: str, dependent: str, counts) -> None:
+        """Attach jet structure to a registered name; counts are
+        (independent name, derivative count) pairs, zeros ignored."""
+        jet = (dependent, tuple(sorted((x, c) for x, c in counts if c)))
+        old = self._jets.setdefault(name, jet)
+        if old != jet:
+            raise ValueError(f"jet coordinate {name!r} already registered as {old}")
+
+    def jet(self, name: str):
+        """(dependent, ((independent, count), ...)) of a jet coordinate,
+        or None for any other name."""
+        return self._jets.get(name)
 
     def id_of(self, name: str) -> SymbolId:
         return self._ids[name]
@@ -207,22 +223,6 @@ class Expr:
 
     def is_zero_literal(self) -> bool:
         return self._s is sp.S.Zero or self._s == 0
-
-    def is_rational_function(self) -> bool:
-        """True when the tree is built purely from symbols with integer
-        exponents (the fragment with a unique canonical form)."""
-        for node in sp.preorder_traversal(self._s):
-            if isinstance(node, sp.Pow) and not node.exp.is_Integer:
-                return False
-            if isinstance(node, _ALLOWED_FUNCS):
-                return False
-        return True
-
-    def has_fractional_powers(self) -> bool:
-        return any(
-            isinstance(n, sp.Pow) and not n.exp.is_Integer
-            for n in sp.preorder_traversal(self._s)
-        )
 
     # -- arithmetic ----------------------------------------------------
     def _coerce(self, other) -> sp.Expr:

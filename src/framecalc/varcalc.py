@@ -49,7 +49,6 @@ from .liegroup import (
     GroupActionSpec,
     KillingMatrix,
     SingularKillingFormError,
-    adjoint_matrix,
     infinitesimal_matrix,
     killing_form,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "DerivationError",
     "VerificationFailure",
     "NonlinearMultiplierError",
-    "adjoint_op",
     "invariant_el",
     "boundary_coeffs",
     "noether_laws",
@@ -176,10 +174,6 @@ class LinDiffOp:
         return " + ".join(bits)
 
 
-def adjoint_op(op: LinDiffOp, js: JetSpace) -> LinDiffOp:
-    return op.adjoint(js)
-
-
 # ---------------------------------------------------------------------------
 # Lagrangians and the derivation context
 # ---------------------------------------------------------------------------
@@ -223,7 +217,7 @@ def make_lagrangian(frame: MovingFrame, expr: Expr,
     spec = frame.spec
     frame.inv_space(extra_dependent=(MULTIPLIER,))
     if syzygy_constraint:
-        rel = generator_relations(frame)
+        rel = frame.relations
         if not rel:
             raise DerivationError(f"{spec.name}: no generator syzygy to constrain")
         (gname, i), rhs = next(iter(rel.items()))
@@ -257,29 +251,25 @@ class DerivationContext:
 
 
 def _context(frame: MovingFrame, L: InvariantLagrangian) -> DerivationContext:
-    spec = frame.spec
-    js_probe = frame.jet_space()
-    inv_probe = frame.inv_space()
+    gen_js = frame.inv_space()
     # Table depth: per generator, its coordinate order (which bounds the
     # order of its syzygy operator) plus the highest derivative of that
     # generator appearing in the total Lagrangian.
     total = L.total()
     depth = 0
-    for g in spec.generators:
-        g_order = js_probe.parse_coord(g["coordinate"])[1].order
+    for g in frame.spec.generators:
         lmax = 0
         for name in total.free_names():
-            parsed = inv_probe.parse_coord(name)
+            parsed = gen_js.parse_coord(name)
             if parsed is not None and parsed[0] == g["name"]:
                 lmax = max(lmax, parsed[1].order)
-        depth = max(depth, g_order + max(lmax, 1))
-    cache = getattr(frame, "_ctx_cache", None)
-    if cache is not None and cache[0] >= depth:
-        depth, table, exp4 = cache
+        depth = max(depth, g["order"] + max(lmax, 1))
+    if frame.tau_context is not None and frame.tau_context[0] >= depth:
+        depth, table, exp4 = frame.tau_context
     else:
         table = build_invariant_table(frame, depth, tau=True)
         exp4 = _tau_expansions(table, depth - 1)
-        frame._ctx_cache = (depth, table, exp4)
+        frame.tau_context = (depth, table, exp4)
     H = syzygy_operators(frame, table, max_order=depth - 1, expansions=exp4)
     inv_js = frame.inv_space(order=max(2 * depth, 10),
                              extra_dependent=(MULTIPLIER,))
@@ -300,9 +290,7 @@ def generator_relations(frame: MovingFrame, table: InvariantTable | None = None
     syzygy sigma_t = kappa_xxx + 2 sigma kappa_x + sigma_x kappa)."""
     spec = frame.spec
     if table is None:
-        gen_order = max(frame.jet_space().parse_coord(g["coordinate"])[1].order
-                        for g in spec.generators)
-        table = build_invariant_table(frame, gen_order + 1, tau=False)
+        table = build_invariant_table(frame, spec.generator_order + 1)
     js = table.jet_space()
     inv_js = frame.inv_space()
     out = {}
@@ -322,7 +310,7 @@ def syzygy_reduce(e: Expr, frame: MovingFrame,
     coordinate of a related generator carrying a derivative in the related
     direction is replaced, repeatedly, until none remain."""
     if relations is None:
-        relations = frame.relations()
+        relations = frame.relations
     if not relations:
         return canonical(e)
     inv_js = frame.inv_space(order=16, extra_dependent=(MULTIPLIER,))
@@ -432,7 +420,7 @@ def invariant_el(L: InvariantLagrangian, H: SyzygyOperators,
     inv_js = frame.inv_space(order=16, extra_dependent=(MULTIPLIER,))
     Ehat = euler_terms(L, inv_js)
     out: dict[str, Expr] = {}
-    relations = frame.relations() if reduce_syzygies else {}
+    relations = frame.relations if reduce_syzygies else {}
     for dep in spec.dependent:
         total = Expr(0)
         for g in frame.generator_names():
@@ -626,7 +614,6 @@ def _drop_multiplier_null_divergence(ctx: DerivationContext,
     js = JetSpace(base_js.independent, base_js.dependent + (MULTIPLIER,),
                   order=base_js.order, registry=spec.registry,
                   kind=KIND_AUXILIARY)
-    isym_coord = table._isym_names()
     p = len(spec.independent)
 
     kept: dict[tuple[str, str, MultiIndex], Expr] = {}
@@ -643,7 +630,7 @@ def _drop_multiplier_null_divergence(ctx: DerivationContext,
             if not lam_part.is_zero_literal():
                 iname = _isym_name(dep, J, spec.independent)
                 Pi_lam = Pi_lam + table.generators_to_jets(lam_part) \
-                    * table.explicit[isym_coord[iname]]
+                    * table.explicit[table.isym_coord[iname]]
         resid = resid + total_derivative(Pi_lam, i, js)
     if not zero_verdict(resid, rng=rng).zero:
         raise VerificationFailure(
@@ -663,14 +650,11 @@ def _verify_boundary(ctx: DerivationContext, V1: Expr, E2: dict[str, Expr],
     # Size the verification space by the deepest generator jet appearing in
     # the E-terms and the boundary coefficients; the multiplier is a
     # function of the independent variables, so it joins as a dependent.
-    inv_probe = frame.inv_space(order=2, extra_dependent=(MULTIPLIER,))
-    gen_order = max(frame.jet_space(order=2).parse_coord(g["coordinate"])[1].order
-                    for g in spec.generators)
     deepest = table.order
     for e in list(E2.values()) + [c for c in bc.coeffs.values()]:
-        deepest = max(deepest, inv_probe.max_order_in(e))
+        deepest = max(deepest, ctx.inv_js.max_order_in(e))
     js = JetSpace(base_js.independent, base_js.dependent + (MULTIPLIER,),
-                  order=max(base_js.order, deepest + gen_order + 3),
+                  order=max(base_js.order, deepest + spec.generator_order + 3),
                   registry=spec.registry, kind=KIND_AUXILIARY)
     p = len(spec.independent)
 
@@ -692,7 +676,6 @@ def _verify_boundary(ctx: DerivationContext, V1: Expr, E2: dict[str, Expr],
         KK = MultiIndex(K.counts + (0,))
         lhs = lhs + dL * total_derivative_multi(w_explicit(dep), KK, js)
 
-    isym_coord = table._isym_names()
     rhs = Expr(0)
     for di, dep in enumerate(spec.dependent):
         base = js.coord_name(dep, MultiIndex.zero(p + 1).bump(p))
@@ -704,7 +687,7 @@ def _verify_boundary(ctx: DerivationContext, V1: Expr, E2: dict[str, Expr],
             if c.is_zero_literal():
                 continue
             iname = _isym_name(dep, J, spec.independent)
-            Pi = Pi + table.generators_to_jets(c) * table.explicit[isym_coord[iname]]
+            Pi = Pi + table.generators_to_jets(c) * table.explicit[table.isym_coord[iname]]
         rhs = rhs + total_derivative(Pi, i, js)
 
     resid = lhs - rhs
@@ -755,7 +738,7 @@ class ConservationLawSet:
 
 def _ad_inv_at_frame(frame: MovingFrame):
     spec = frame.spec
-    adm = adjoint_matrix(spec, verify=False)
+    adm = spec.adjoint
     inv_params = spec.inverse_map(frame.params)
     rows = []
     for i in range(spec.r):
@@ -782,7 +765,7 @@ def noether_laws(L: InvariantLagrangian, frame: MovingFrame,
     bc = boundary_coeffs(L, ctx.H, verify=verify, rng=rng, ctx=ctx)
     el = invariant_el(L, ctx.H)
 
-    relations = frame.relations()
+    relations = frame.relations
 
     # upsilon_i = sum_a Omega^a(I) C^a_i
     p = len(spec.independent)
@@ -812,8 +795,9 @@ def noether_laws(L: InvariantLagrangian, frame: MovingFrame,
     if L.constraint is not None and L.constraint_kind == "parametrization":
         el_out, lam_value = eliminate_multiplier(
             el, L, frame, return_multiplier=True)
-        lam_bind = _multiplier_bindings(frame, lam_value)
-        red = ctx.table.constraint_reduction()
+        lam_bind = _multiplier_bindings(
+            frame, lam_value, [v for vec in upsilon.values() for v in vec])
+        red = frame.constraint_reduction()
         upsilon = {ind: tuple(canonical(subst(subst(v, lam_bind), red))
                               for v in vec)
                    for ind, vec in upsilon.items()}
@@ -838,12 +822,15 @@ def noether_laws(L: InvariantLagrangian, frame: MovingFrame,
 # Multiplier elimination
 # ---------------------------------------------------------------------------
 
-def _multiplier_bindings(frame: MovingFrame, lam_value: Expr) -> dict[str, Expr]:
+def _multiplier_bindings(frame: MovingFrame, lam_value: Expr, exprs) -> dict[str, Expr]:
+    """D^K lambda for each multiplier jet lambda_K occurring in exprs."""
     inv_js = frame.inv_space(order=16, extra_dependent=(MULTIPLIER,))
     out = {}
-    for K in MultiIndex.up_to_order(inv_js.p, 8):
-        name = inv_js.coord_name(MULTIPLIER, K)
-        out[name] = total_derivative_multi(lam_value, K, inv_js)
+    for e in exprs:
+        for name in e.free_names() - out.keys():
+            parsed = inv_js.parse_coord(name)
+            if parsed is not None and parsed[0] == MULTIPLIER:
+                out[name] = total_derivative_multi(lam_value, parsed[1], inv_js)
     return out
 
 
@@ -861,17 +848,12 @@ def eliminate_multiplier(el_system: dict[str, Expr], L: InvariantLagrangian,
     if L.constraint is None:
         return (dict(el_system), None) if return_multiplier else dict(el_system)
 
-    gen_order = max(frame.jet_space().parse_coord(g["coordinate"])[1].order
-                    for g in spec.generators)
-    table = build_invariant_table(frame, gen_order + 1, tau=False)
-    red = table.constraint_reduction()
+    red = frame.constraint_reduction()
     system = {dep: canonical(subst(e, red)) for dep, e in el_system.items()}
 
-    lam_coords = [inv_js.coord_name(MULTIPLIER, K)
-                  for K in MultiIndex.up_to_order(inv_js.p, 8)]
-
     def lam_jets(e: Expr):
-        return [n for n in e.free_names() if n in lam_coords]
+        return [n for n in e.free_names()
+                if (p := inv_js.parse_coord(n)) is not None and p[0] == MULTIPLIER]
 
     lam_value = None
     for dep in sorted(system, key=lambda d: spec.dependent.index(d)):
@@ -911,7 +893,7 @@ def eliminate_multiplier(el_system: dict[str, Expr], L: InvariantLagrangian,
     if lam_value is None:
         raise NonlinearMultiplierError("no solvable multiplier equation found")
 
-    bind = _multiplier_bindings(frame, lam_value)
+    bind = _multiplier_bindings(frame, lam_value, system.values())
     out = {}
     for dep, e in system.items():
         r = canonical(subst(e, bind))
@@ -964,7 +946,7 @@ def reduced_system(laws: ConservationLawSet) -> list[Expr]:
     if all(u.is_zero_literal() for u in laws.upsilon[spec.independent[0]]):
         return []  # trivial laws force c = 0; nothing to reduce
     Binv = _b_inverse(laws)
-    adm = adjoint_matrix(spec, verify=False)
+    adm = spec.adjoint
     ad_rho = sp.Matrix(spec.r, spec.r,
                        lambda i, j: subst(adm.at(i, j), frame.params).sympy)
     om = infinitesimal_matrix(spec, list(spec.dependent)).sympy()  # r x q

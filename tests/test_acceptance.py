@@ -11,6 +11,7 @@ the machine-derived, oracle-verified form asserted alongside.
 import json
 import random
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -519,26 +520,32 @@ def test_6_multiplier_cancellation(frames, laws_of):
 # 7. CLI determinism
 # =========================================================================
 
-GOLDEN_COMMANDS = [
-    ["catalog"],
-    ["derive", "--entry", "sl2-action1", "--lagrangian", "sigma_x^2/2",
-     "--no-verify"],
-    ["laws", "--entry", "se2-curve", "--lagrangian", "kappa^2", "--no-verify"],
-    ["laws", "--entry", "sl2-action3",
-     "--lagrangian", "(sigma_s^2 + eta_s^2)/2", "--no-verify"],
-]
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# golden file under tests/golden -> CLI arguments that reproduce it
+GOLDEN_COMMANDS = {
+    "catalog.json": ["catalog"],
+    "derive-sl2-action1.json": ["derive", "--entry", "sl2-action1",
+                                "--lagrangian", "sigma_x^2/2", "--no-verify"],
+    "laws-se2-curve.json": ["laws", "--entry", "se2-curve",
+                            "--lagrangian", "kappa^2", "--no-verify"],
+    "laws-sl2-action3.json": ["laws", "--entry", "sl2-action3",
+                              "--lagrangian", "(sigma_s^2 + eta_s^2)/2",
+                              "--no-verify"],
+}
 
 
 def test_7_cli_determinism(tmp_path, capsys):
     with criterion("7", "byte-identical JSON across repeated runs of every "
-                        "CLI golden command"):
-        for i, argv in enumerate(GOLDEN_COMMANDS):
+                        "CLI golden command, equal to its golden file"):
+        for golden, argv in GOLDEN_COMMANDS.items():
             outs = []
             for run_idx in range(2):
-                path = tmp_path / f"cmd{i}_{run_idx}.json"
+                path = tmp_path / f"{run_idx}-{golden}"
                 code = cli.run(argv + ["--out", str(path)])
                 capsys.readouterr()
                 assert code == 0, argv
                 outs.append(path.read_bytes())
             assert outs[0] == outs[1], argv
+            assert outs[0] == (GOLDEN_DIR / golden).read_bytes(), argv
             json.loads(outs[0])  # valid JSON

@@ -1,6 +1,8 @@
 import json
+import random
+from importlib import resources
 
-from framecalc import cli
+from framecalc import cli, frame, liegroup, varcalc
 
 
 def run_cli(capsys, *argv):
@@ -94,3 +96,50 @@ def test_verify_fast_smoke(capsys):
     assert code == (0 if data["report"]["passed"] else 5)
     names = " ".join(c["name"] for c in data["report"]["checks"])
     assert "RK4" in names and "law component" in names
+
+
+def test_seed_reaches_noether_laws(capsys, monkeypatch):
+    seen = []
+
+    def fake_laws(*args, rng=None, **kwargs):
+        seen.append(rng)
+        raise varcalc.DerivationError("stopped after the seed check")
+
+    monkeypatch.setattr(varcalc, "noether_laws", fake_laws)
+    code, _, _ = run_cli(capsys, "laws", "--entry", "sl2-action1",
+                         "--lagrangian", "sigma_x^2/2", "--seed", "7")
+    assert code == 4
+    assert seen[0].random() == random.Random(7).random()
+
+
+def test_catalog_dir_entry_validated_at_load(capsys, tmp_path):
+    src = resources.files("framecalc").joinpath("catalog/sl2-action1.json")
+    data = json.loads(src.read_text())
+    data["infinitesimals"][2]["u"] = "-u^2+1"
+    (tmp_path / "sl2-action1.json").write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "laws", "--catalog-dir", str(tmp_path),
+                           "--entry", "sl2-action1",
+                           "--lagrangian", "sigma_x^2/2", "--no-verify")
+    assert code == 4
+    assert "infinitesimal gamma mismatch on u" in err
+
+
+def test_laws_builds_shared_facts_once(capsys, monkeypatch):
+    calls = {"adjoint_matrix": 0, "build_invariant_table": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(liegroup, "adjoint_matrix",
+                        counting("adjoint_matrix", liegroup.adjoint_matrix))
+    table = counting("build_invariant_table", frame.build_invariant_table)
+    monkeypatch.setattr(frame, "build_invariant_table", table)
+    monkeypatch.setattr(varcalc, "build_invariant_table", table)
+    code = cli.run(["laws", "--entry", "se2-curve", "--lagrangian", "kappa^2",
+                    "--no-verify"])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == {"adjoint_matrix": 1, "build_invariant_table": 2}
