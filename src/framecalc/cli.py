@@ -42,22 +42,35 @@ def _expr_dict(e: Expr, registry) -> dict:
             "tree": to_json_dict(e, registry)}
 
 
-def _load(args):
-    # Bundled entries are validated by the test suite; user entries at load.
+def _load_frame(args):
+    """The entry's moving frame. Bundled entries and their frames are
+    validated by the test suite; user entries and frames at load."""
+    user = args.catalog_dir is not None
     try:
         spec = liegroup.catalog(args.entry, catalog_dir=args.catalog_dir,
-                                validate=args.catalog_dir is not None)
+                                validate=user)
     except liegroup.UnknownEntryError as exc:
         raise CliError(str(exc), 2)
-    return spec
+    try:
+        return frame_mod.solve_frame(spec, verify=user, rng=random.Random(args.seed))
+    except SymExprError as exc:
+        raise CliError(str(exc), 4)
 
 
 def _lagrangian(args, frame):
+    """The Lagrangian of --lagrangian: an expression in generator jets and
+    independent variables only (exit 3 otherwise)."""
     spec = frame.spec
     try:
         expr = parse(args.lagrangian, spec.registry)
     except ParseError as exc:
         raise CliError(f"cannot parse Lagrangian: {exc}", 3)
+    inv_js = frame.inv_space()
+    foreign = sorted(n for n in expr.free_names()
+                     if n not in spec.independent and inv_js.parse_coord(n) is None)
+    if foreign:
+        raise CliError(f"Lagrangian may name only generator jets and independent "
+                       f"variables, not {', '.join(foreign)}", 3)
     try:
         return varcalc.make_lagrangian(
             frame, expr, syzygy_constraint=args.syzygy_multiplier)
@@ -95,9 +108,9 @@ def _op_dict(op: varcalc.LinDiffOp, registry) -> dict:
 
 
 def cmd_derive(args) -> dict:
-    spec = _load(args)
+    frame = _load_frame(args)
+    spec = frame.spec
     reg = spec.registry
-    frame = frame_mod.solve_frame(spec, verify=False)
     L = _lagrangian(args, frame)
     try:
         ctx = varcalc._context(frame, L)
@@ -134,9 +147,9 @@ def cmd_derive(args) -> dict:
 
 
 def cmd_laws(args) -> dict:
-    spec = _load(args)
+    frame = _load_frame(args)
+    spec = frame.spec
     reg = spec.registry
-    frame = frame_mod.solve_frame(spec, verify=False)
     L = _lagrangian(args, frame)
     try:
         laws = varcalc.noether_laws(L, frame, verify=not args.no_verify,
@@ -337,7 +350,7 @@ def run(argv: list[str]) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (liegroup.CatalogError, frame_mod.FrameVerificationError) as exc:
+    except liegroup.CatalogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except numlab.NumericError as exc:

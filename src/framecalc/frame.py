@@ -23,7 +23,7 @@ from functools import cached_property
 import sympy as sp
 
 from .jetcalc import TAU, JetSpace, MultiIndex, total_derivative, total_derivative_multi
-from .liegroup import GroupActionSpec
+from .liegroup import MULTIPLIER, GroupActionSpec
 from .symexpr import (
     Expr,
     SymExprError,
@@ -85,37 +85,35 @@ class MovingFrame:
     def generator_names(self) -> tuple[str, ...]:
         return tuple(g["name"] for g in self.spec.generators)
 
-    def inv_space(self, order: int = 8, extra_dependent: tuple[str, ...] = ()) -> JetSpace:
-        """Formal jet space over the generating invariants (and optional
-        auxiliaries such as the multiplier lambda, registered as auxiliary
-        symbols)."""
-        JetSpace(self.spec.independent, self.generator_names(), order=order,
-                 registry=self.spec.registry, kind=KIND_GENERATOR)
-        for dep in extra_dependent:
-            JetSpace(self.spec.independent, (dep,), order=order,
-                     registry=self.spec.registry, kind=KIND_AUXILIARY)
-        return JetSpace(self.spec.independent,
-                        self.generator_names() + tuple(extra_dependent),
-                        order=order, registry=self.spec.registry,
-                        kind=KIND_GENERATOR)
+    def jet_space(self, tau: bool = False) -> JetSpace:
+        return self.spec.jet_space(tau)
 
-    def jet_space(self, order: int = 8, tau: bool = False) -> JetSpace:
-        names = self.spec.independent + ((TAU,) if tau else ())
-        return JetSpace(names, self.spec.dependent, order=order,
-                        registry=self.spec.registry, positive=self.spec.positive)
+    def inv_space(self, multiplier: bool = False) -> JetSpace:
+        """Formal jet space over the generating invariants, with the
+        multiplier lambda as a further dependent when ``multiplier``."""
+        return self._inv_spaces[multiplier]
 
-    def constraint_reduction(self) -> dict[str, Expr]:
-        """For entries with a parametrization constraint (eta = 1): the
-        substitution {eta: 1, eta_s: 0, ...} over the formal space."""
+    @cached_property
+    def _inv_spaces(self) -> tuple[JetSpace, JetSpace]:
+        names = self.generator_names()
+        return tuple(JetSpace(self.spec.independent, deps, registry=self.registry,
+                              kind=KIND_GENERATOR)
+                     for deps in (names, names + (MULTIPLIER,)))
+
+    def constraint_reduction(self, e: Expr) -> Expr:
+        """For entries with a parametrization constraint (eta = 1): e with
+        the constrained generator's jets in it substituted (eta by its
+        value, its derivatives by 0)."""
         c = self.spec.constraint
         if c is None:
-            return {}
+            return e
         inv_js = self.inv_space()
-        out = {}
-        for dep, K, name in inv_js.coords_up_to(inv_js.order):
-            if dep == c["generator"]:
-                out[name] = c["value"] if K.order == 0 else Expr(0)
-        return out
+        bind = {}
+        for name in e.free_names():
+            parsed = inv_js.parse_coord(name)
+            if parsed is not None and parsed[0] == c["generator"]:
+                bind[name] = c["value"] if parsed[1].order == 0 else Expr(0)
+        return subst(e, bind)
 
     @cached_property
     def relations(self) -> dict:
@@ -284,13 +282,10 @@ class InvariantTable:
     def spec(self):
         return self.frame.spec
 
-    def jet_space(self) -> JetSpace:
-        return self.frame.jet_space(order=max(self.order + 2, 8), tau=self.tau)
-
     def replace(self, e: Expr) -> Expr:
         """Replacement substitution: every jet coordinate by its generator
         form. Valid on invariant expressions by the Replacement Theorem."""
-        js = self.jet_space()
+        js = self.frame.jet_space(self.tau)
         bind = {}
         for name in e.free_names():
             if js.parse_coord(name) is not None:
@@ -300,34 +295,20 @@ class InvariantTable:
                 bind[name] = self.genform[name]
         return subst(e, bind)
 
-    def generator_explicit(self, name: str) -> Expr:
-        """Explicit jet form of a generator-space symbol (sigma_xx etc.)
-        or of an I^a_{tau J} symbol."""
-        inv_js = self.frame.inv_space()
-        parsed = inv_js.parse_coord(name)
-        if parsed is not None:
-            gname, K = parsed
-            base = {g["name"]: g["explicit"] for g in self.spec.generators}
-            if gname not in base:
-                raise SymExprError(f"{name} is not a generator-space coordinate")
-            js = self.frame.jet_space(order=K.order + self.spec.generator_order + 2,
-                                      tau=self.tau)
-            KK = MultiIndex(K.counts + (0,)) if self.tau else K
-            return total_derivative_multi(base[gname], KK, js)
-        if name in self.isym_coord:
-            return self.explicit[self.isym_coord[name]]
-        raise SymExprError(f"no explicit form for symbol {name}")
-
     def generators_to_jets(self, e: Expr) -> Expr:
-        """Substitute every generator-space symbol (and I^a_{tau J} symbol)
-        in e by its explicit jet form."""
-        bind = {}
+        """Substitute every generator-space symbol (sigma_xx etc.) and
+        I^a_{tau J} symbol in e by its explicit jet form."""
+        gen_explicit = {g["name"]: g["explicit"] for g in self.spec.generators}
         inv_js = self.frame.inv_space()
+        js = self.frame.jet_space(self.tau)
+        bind = {}
         for name in e.free_names():
             if name in self.isym_coord:
                 bind[name] = self.explicit[self.isym_coord[name]]
-            elif inv_js.parse_coord(name) is not None:
-                bind[name] = self.generator_explicit(name)
+            elif (parsed := inv_js.parse_coord(name)) is not None:
+                gname, K = parsed
+                KK = MultiIndex(K.counts + (0,)) if self.tau else K
+                bind[name] = total_derivative_multi(gen_explicit[gname], KK, js)
         return subst(e, bind)
 
     def to_json_dict(self) -> dict:
@@ -350,8 +331,8 @@ def build_invariant_table(frame: MovingFrame, order: int, tau: bool = False) -> 
     given order (tau=True adds the dummy variable and I^a_{tau J} symbols
     for coordinates with one tau derivative)."""
     spec = frame.spec
-    js = frame.jet_space(order=max(order + 2, 8), tau=tau)
-    inv_js = frame.inv_space(order=max(order + 2, 8))
+    js = frame.jet_space(tau)
+    inv_js = frame.inv_space()
     registry = spec.registry
 
     normalized = {coord: target for coord, target in spec.normalizations}
@@ -509,15 +490,13 @@ def _tau_expansions(table: InvariantTable, max_order: int):
     base symbols I^a_tau, so D_J I^a_tau is the coordinate Ia_tau_{J}.
     """
     spec = table.spec
-    frame = table.frame
-    js = table.jet_space()
+    js = table.frame.jet_space(tau=True)
     registry = spec.registry
     p = len(spec.independent)
 
     base_names = [_isym_name(dep, MultiIndex.zero(p), spec.independent)
                   for dep in spec.dependent]
-    formal_js = JetSpace(spec.independent, tuple(base_names),
-                         order=max(max_order + 2, 8), registry=registry,
+    formal_js = JetSpace(spec.independent, tuple(base_names), registry=registry,
                          kind=KIND_AUXILIARY)
 
     expansions: dict[str, Expr] = {}  # formal coord name -> I-symbol linear form
@@ -567,7 +546,7 @@ def syzygy_operators(frame: MovingFrame, table: InvariantTable,
     spec = frame.spec
     if not table.tau:
         raise SymExprError("syzygy_operators needs a tau-extended table")
-    js = table.jet_space()
+    js = frame.jet_space(tau=True)
     p = len(spec.independent)
     if max_order is None:
         max_order = table.order - 1
@@ -613,7 +592,7 @@ def verify_syzygies(H: SyzygyOperators, table: InvariantTable,
     """Expand H applied to the explicit I^a_tau and compare with D_tau of
     the explicit generators (identity in jet coordinates)."""
     spec = table.spec
-    js = table.jet_space()
+    js = table.frame.jet_space(tau=True)
     p = len(spec.independent)
     for g in spec.generators:
         dtau = total_derivative(g["explicit"], p, js)

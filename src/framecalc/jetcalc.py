@@ -1,14 +1,14 @@
 """Jet-bundle calculus: coordinates, total derivatives, prolongation,
 the Euler operator, and exact inversion of total derivatives.
 
-A JetSpace registers coordinate symbols u^a_K (named like u, u_x, u_xxt)
-into a SymbolRegistry, up to a truncation order, together with their
-structure (dependent u^a, derivative counts K), which the registry then
-answers for every space over the same variables. The same machinery
-serves the classical jet bundle over (x_i, u^a) and the formal "invariant
-jet space" whose dependent variables are generating invariants (sigma,
-kappa, eta), so the Euler operator below is used for both E^u(L) and
-E^sigma(L).
+A JetSpace names coordinate symbols u^a_K (like u, u_x, u_xxt) in a
+SymbolRegistry and registers each one, with its structure (dependent u^a,
+derivative counts K), the first time it is asked for, so jets of every
+order are available; the registry then answers for every space over the
+same variables. The same machinery serves the classical jet bundle over
+(x_i, u^a) and the formal "invariant jet space" whose dependent variables
+are generating invariants (sigma, kappa, eta), so the Euler operator below
+is used for both E^u(L) and E^sigma(L).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "MultiIndex",
     "JetSpace",
     "VectorField",
-    "TruncationError",
     "NotTotalDerivativeError",
     "total_derivative",
     "prolong_action",
@@ -37,10 +36,6 @@ __all__ = [
     "euler_operator",
     "integrate_total",
 ]
-
-
-class TruncationError(SymExprError):
-    pass
 
 
 class NotTotalDerivativeError(SymExprError):
@@ -80,9 +75,6 @@ class MultiIndex:
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         return MultiIndex(tuple(a + b for a, b in zip(self.counts, other.counts)))
 
-    def __le__(self, other: "MultiIndex") -> bool:
-        return all(a <= b for a, b in zip(self.counts, other.counts))
-
     def directions(self):
         """Indices i with counts[i] > 0."""
         return [i for i, c in enumerate(self.counts) if c > 0]
@@ -108,51 +100,46 @@ def _suffix(ind_names, counts) -> str:
 
 
 class JetSpace:
-    """Coordinates {x_i} and {u^a_K : |K| <= order} registered as symbols,
-    each coordinate with its (dependent, multi-index) structure."""
+    """Coordinates {x_i} and {u^a_K} over a SymbolRegistry.
 
-    def __init__(self, independent, dependent, order: int = 8,
+    A coordinate u^a_K is registered, with its (dependent, multi-index)
+    structure and the kind of u^a, the first time it is asked for; the
+    independents and dependents themselves take ``kind`` unless already
+    registered. ``order`` registers every coordinate up to that order at
+    once, so that text naming them parses."""
+
+    def __init__(self, independent, dependent, order: int = 0,
                  registry: SymbolRegistry | None = None, positive=(),
                  kind: str = KIND_JET):
         self.independent = tuple(independent)
         self.dependent = tuple(dependent)
-        self.order = int(order)
         self.registry = registry if registry is not None else SymbolRegistry()
-        self.kind = kind
-        positive = set(positive)
-        for x in self.independent:
-            if not self.registry.known(x):
-                self.registry.register(x, kind, positive=x in positive)
-        for dep in self.dependent:
-            for K in MultiIndex.up_to_order(self.p, self.order):
-                name = self.coord_name(dep, K)
-                if not self.registry.known(name):
-                    self.registry.register(name, kind, positive=name in positive)
-                self.registry.record_jet(name, dep, zip(self.independent, K.counts))
+        self.positive = frozenset(positive)
+        for name in self.independent + self.dependent:
+            if not self.registry.known(name):
+                self.registry.register(name, kind, positive=name in self.positive)
+        self.coords_up_to(order)
 
     @property
     def p(self) -> int:
         return len(self.independent)
 
-    @property
-    def q(self) -> int:
-        return len(self.dependent)
-
     def coord_name(self, dep: str, K: MultiIndex) -> str:
-        if K.order == 0:
-            return dep
-        return f"{dep}_{_suffix(self.independent, K.counts)}"
+        """Name of u^a_K, registered on first use with the kind of u^a."""
+        name = dep if K.order == 0 else f"{dep}_{_suffix(self.independent, K.counts)}"
+        reg = self.registry
+        if not reg.known(name):
+            reg.register(name, reg.id_of(dep).kind, positive=name in self.positive)
+        reg.record_jet(name, dep, zip(self.independent, K.counts))
+        return name
 
     def coord(self, dep: str, K: MultiIndex) -> Expr:
         return self.registry.expr(self.coord_name(dep, K))
 
     def coords_up_to(self, n: int):
         """(dep, K, name) triples for |K| <= n, dependents outer."""
-        out = []
-        for dep in self.dependent:
-            for K in MultiIndex.up_to_order(self.p, n):
-                out.append((dep, K, self.coord_name(dep, K)))
-        return out
+        return [(dep, K, self.coord_name(dep, K))
+                for dep in self.dependent for K in MultiIndex.up_to_order(self.p, n)]
 
     def parse_coord(self, name: str):
         """(dependent, multi-index) of a registered jet coordinate of any
@@ -180,10 +167,6 @@ class JetSpace:
 def total_derivative(e: Expr, i: int, js: JetSpace) -> Expr:
     """D_i e = de/dx_i + sum u^a_{K+e_i} de/du^a_K."""
     s = e.sympy if isinstance(e, Expr) else e
-    top = js.max_order_in(Expr(s))
-    if top >= js.order:
-        raise TruncationError(
-            f"total derivative of an order-{top} expression exceeds truncation {js.order}")
     x = js.registry.sympy_symbol(js.independent[i])
     out = sp.diff(s, x)
     for name in sorted({t.name for t in s.free_symbols}):
@@ -247,7 +230,7 @@ def prolong_vector_field(v: VectorField, order: int, js: JetSpace) -> VectorFiel
 TAU = "tau"
 
 
-def prolong_action(spec, order: int, js: JetSpace | None = None,
+def prolong_action(spec, order: int, js: JetSpace,
                    existing: dict[str, Expr] | None = None,
                    index_filter=None) -> dict[str, Expr]:
     """Transformed jet coordinates g.u^a_K as expressions in jet coordinates
@@ -255,7 +238,6 @@ def prolong_action(spec, order: int, js: JetSpace | None = None,
     transform on base coordinates; the independent variables are fixed, so
     g.u^a_{K+e_i} = D_i(g.u^a_K).
     """
-    js = js if js is not None else spec.jet_space(order + 1)
     out: dict[str, Expr] = dict(existing) if existing else {}
     for dep in js.dependent:
         if dep not in out:

@@ -57,6 +57,15 @@ __all__ = [
 
 CATALOG_NAMES = ("se2-curve", "sl2-action1", "sl2-action2", "sl2-action3", "sl2-surface")
 
+# Parse vocabulary of an entry: the jet coordinates registered at load, so
+# that catalog formulas and Lagrangians naming them parse. Coordinates of
+# higher order are registered when a derivation first reaches them.
+BASE_VOCABULARY_ORDER = 10
+GENERATOR_VOCABULARY_ORDER = 8
+
+# The Lagrange multiplier, an auxiliary dependent over the independents.
+MULTIPLIER = "lambda"
+
 
 class CatalogError(SymExprError):
     pass
@@ -140,7 +149,8 @@ class GroupActionSpec:
         self.independent: tuple[str, ...] = tuple(space["independent"])
         self.dependent: tuple[str, ...] = tuple(space["dependent"])
         self.positive: tuple[str, ...] = tuple(space.get("positive", ()))
-        self._base_space = JetSpace(self.independent, self.dependent, order=10,
+        self._base_space = JetSpace(self.independent, self.dependent,
+                                    order=BASE_VOCABULARY_ORDER,
                                     registry=self.registry, positive=self.positive)
 
         self.derived: dict[str, Expr] = {}
@@ -190,10 +200,10 @@ class GroupActionSpec:
         # integration constants are part of the entry's registry, so
         # Lagrangians and golden formulas parse immediately after load.
         gen_names = tuple(g["name"] for g in self.generators)
-        JetSpace(self.independent, gen_names, order=8,
+        JetSpace(self.independent, gen_names, order=GENERATOR_VOCABULARY_ORDER,
                  registry=self.registry, kind=KIND_GENERATOR,
                  positive=tuple(g["name"] for g in self.generators if g["positive"]))
-        JetSpace(self.independent, ("lambda",), order=8,
+        JetSpace(self.independent, (MULTIPLIER,), order=GENERATOR_VOCABULARY_ORDER,
                  registry=self.registry, kind=KIND_AUXILIARY)
         for i in range(len(self.basis_directions)):
             self.registry.register(f"c{i+1}", KIND_CONSTANT)
@@ -207,8 +217,14 @@ class GroupActionSpec:
     def all_params(self) -> tuple[str, ...]:
         return self.params + tuple(self.derived)
 
-    def jet_space(self, order: int = 8) -> JetSpace:
-        return JetSpace(self.independent, self.dependent, order=order,
+    def jet_space(self, tau: bool = False) -> JetSpace:
+        """The jet space of the base coordinates, or its extension by the
+        dummy invariant direction tau."""
+        return self._tau_space if tau else self._base_space
+
+    @cached_property
+    def _tau_space(self) -> JetSpace:
+        return JetSpace(self.independent + (jetcalc.TAU,), self.dependent,
                         registry=self.registry, positive=self.positive)
 
     def _coord_order(self, name: str) -> int:
@@ -303,9 +319,7 @@ class GroupActionSpec:
         key = "tau" if tau else "plain"
         state = self._prolonged.setdefault(key, [-1, {}])
         if order > state[0]:
-            names = self.independent + ((jetcalc.TAU,) if tau else ())
-            js = JetSpace(names, self.dependent, order=order + 1,
-                          registry=self.registry, positive=self.positive)
+            js = self.jet_space(tau)
             # second tau derivatives never occur in the variational calculus
             filt = (lambda K: K.counts[-1] <= 1) if tau else None
             raw = jetcalc.prolong_action(self, order, js=js, existing=state[1],
@@ -455,7 +469,7 @@ def infinitesimal_matrix(spec: GroupActionSpec, coords) -> InfinitesimalMatrix:
     is the coefficient of d/d(z_r) in the prolonged basis field i."""
     names = []
     order_needed = 0
-    js = spec.jet_space(order=10)
+    js = spec.jet_space()
     for c in coords:
         name = c if isinstance(c, str) else js.coord_name(*c)
         parsed = js.parse_coord(name)
@@ -544,7 +558,7 @@ def adjoint_matrix(spec: GroupActionSpec, verify: bool = True) -> AdjointMatrix:
     linear relation Ad(g) Omega(z) = Omega(g.z) (d(g.z)/dz)^-T, using just
     enough prolonged coordinates to make the system full rank."""
     r = spec.r
-    js = spec.jet_space(order=6)
+    js = spec.jet_space()
     rows_choice = None
     for order in range(1, 5):
         coords = [name for _, _, name in js.coords_up_to(order)]

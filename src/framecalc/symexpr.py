@@ -334,6 +334,13 @@ def _tokenize(text: str):
     return tokens
 
 
+def _finite(e: sp.Expr, pos: int) -> sp.Expr:
+    """e, unless a division by zero left zoo, nan or oo in it."""
+    if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+        raise ParseError("division by zero", pos)
+    return e
+
+
 class _Parser:
     """Recursive-descent parser for the expression grammar.
 
@@ -384,11 +391,11 @@ class _Parser:
     def term(self) -> sp.Expr:
         e = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.unary()
-                e = e * rhs if val == "*" else e / rhs
+                e = e * rhs if val == "*" else _finite(e / rhs, pos)
             else:
                 return e
 
@@ -401,10 +408,10 @@ class _Parser:
 
     def power(self) -> sp.Expr:
         base = self.atom()
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            return sp.Pow(base, self.exponent())
+            return _finite(sp.Pow(base, self.exponent()), pos)
         return base
 
     def exponent(self) -> sp.Rational:

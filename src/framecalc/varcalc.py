@@ -46,6 +46,7 @@ from .frame import (
     _tau_expansions,
 )
 from .liegroup import (
+    MULTIPLIER,
     GroupActionSpec,
     KillingMatrix,
     SingularKillingFormError,
@@ -80,8 +81,6 @@ __all__ = [
     "syzygy_reduce",
     "generator_relations",
 ]
-
-MULTIPLIER = "lambda"
 
 
 class DerivationError(SymExprError):
@@ -203,10 +202,6 @@ class InvariantLagrangian:
         lam = self.frame.spec.registry.expr(MULTIPLIER)
         return self.expr + lam * self.constraint
 
-    def generator_order(self) -> int:
-        js = self.frame.inv_space()
-        return js.max_order_in(self.total())
-
 
 def make_lagrangian(frame: MovingFrame, expr: Expr,
                     with_constraint: bool = True,
@@ -215,7 +210,6 @@ def make_lagrangian(frame: MovingFrame, expr: Expr,
     multiplier) when the entry declares one; optionally attach the
     generator syzygy as a constraint instead (surface demonstration)."""
     spec = frame.spec
-    frame.inv_space(extra_dependent=(MULTIPLIER,))
     if syzygy_constraint:
         rel = frame.relations
         if not rel:
@@ -271,8 +265,7 @@ def _context(frame: MovingFrame, L: InvariantLagrangian) -> DerivationContext:
         exp4 = _tau_expansions(table, depth - 1)
         frame.tau_context = (depth, table, exp4)
     H = syzygy_operators(frame, table, max_order=depth - 1, expansions=exp4)
-    inv_js = frame.inv_space(order=max(2 * depth, 10),
-                             extra_dependent=(MULTIPLIER,))
+    inv_js = frame.inv_space(multiplier=True)
     formal_js, base_names, expansions, isym_to_formal = exp4
     return DerivationContext(frame, L, table, H, inv_js, formal_js,
                              list(base_names), expansions, isym_to_formal)
@@ -282,16 +275,14 @@ def _context(frame: MovingFrame, L: InvariantLagrangian) -> DerivationContext:
 # Generator syzygy relations and reduction
 # ---------------------------------------------------------------------------
 
-def generator_relations(frame: MovingFrame, table: InvariantTable | None = None
-                        ) -> dict[tuple[str, int], Expr]:
+def generator_relations(frame: MovingFrame) -> dict[tuple[str, int], Expr]:
     """Relations among generator jets: for a generator g and direction i,
     when the replacement of D_i(explicit g) is not the formal coordinate
     g_i, the pair maps to its generator-symbol value (e.g. the surface
     syzygy sigma_t = kappa_xxx + 2 sigma kappa_x + sigma_x kappa)."""
     spec = frame.spec
-    if table is None:
-        table = build_invariant_table(frame, spec.generator_order + 1)
-    js = table.jet_space()
+    table = build_invariant_table(frame, spec.generator_order + 1)
+    js = frame.jet_space()
     inv_js = frame.inv_space()
     out = {}
     for g in spec.generators:
@@ -313,7 +304,7 @@ def syzygy_reduce(e: Expr, frame: MovingFrame,
         relations = frame.relations
     if not relations:
         return canonical(e)
-    inv_js = frame.inv_space(order=16, extra_dependent=(MULTIPLIER,))
+    inv_js = frame.inv_space(multiplier=True)
     cur = canonical(e)
     for _ in range(64):
         target = None
@@ -417,7 +408,7 @@ def invariant_el(L: InvariantLagrangian, H: SyzygyOperators,
     reduced modulo them, which is where multiplier terms cancel."""
     frame = L.frame
     spec = frame.spec
-    inv_js = frame.inv_space(order=16, extra_dependent=(MULTIPLIER,))
+    inv_js = frame.inv_space(multiplier=True)
     Ehat = euler_terms(L, inv_js)
     out: dict[str, Expr] = {}
     relations = frame.relations if reduce_syzygies else {}
@@ -500,13 +491,10 @@ def boundary_coeffs(L: InvariantLagrangian, H: SyzygyOperators,
 
     # Formal dependents w_j = D_tau kappa_j.
     w_names = {g: f"Dtau_{g}" for g in frame.generator_names()}
-    for wn in w_names.values():
-        JetSpace(spec.independent, (wn,), order=ctx.inv_js.order,
-                 registry=registry, kind=KIND_AUXILIARY)
     all_deps = (ctx.inv_js.dependent + tuple(w_names.values())
                 + tuple(ctx.formal_base))
-    work_js = JetSpace(spec.independent, all_deps, order=ctx.inv_js.order,
-                       registry=registry, kind=KIND_AUXILIARY)
+    work_js = JetSpace(spec.independent, all_deps, registry=registry,
+                       kind=KIND_AUXILIARY)
 
     V1 = _variation_integrand(ctx, work_js, w_names)
     E1, P1 = _ibp(V1, work_js, tuple(w_names.values()))
@@ -586,6 +574,15 @@ def boundary_coeffs(L: InvariantLagrangian, H: SyzygyOperators,
     return out
 
 
+def _explicit_space(frame: MovingFrame) -> JetSpace:
+    """The tau-extended base jets with the multiplier, a function of the
+    independent variables, as a further dependent: the space in which
+    identities written out in jet coordinates are checked."""
+    js = frame.jet_space(tau=True)
+    return JetSpace(js.independent, js.dependent + (MULTIPLIER,),
+                    registry=js.registry)
+
+
 def _multiplier_part(e: Expr, inv_js: JetSpace) -> Expr:
     """Terms of e containing a jet of the multiplier."""
     lam_syms = [s for s in e.sympy.free_symbols
@@ -610,11 +607,7 @@ def _drop_multiplier_null_divergence(ctx: DerivationContext,
     spec = ctx.spec
     table = ctx.table
     inv_js = ctx.inv_js
-    base_js = table.jet_space()
-    js = JetSpace(base_js.independent, base_js.dependent + (MULTIPLIER,),
-                  order=base_js.order, registry=spec.registry,
-                  kind=KIND_AUXILIARY)
-    p = len(spec.independent)
+    js = _explicit_space(ctx.frame)
 
     kept: dict[tuple[str, str, MultiIndex], Expr] = {}
     resid = Expr(0)
@@ -646,16 +639,7 @@ def _verify_boundary(ctx: DerivationContext, V1: Expr, E2: dict[str, Expr],
     frame = ctx.frame
     spec = ctx.spec
     table = ctx.table
-    base_js = table.jet_space()
-    # Size the verification space by the deepest generator jet appearing in
-    # the E-terms and the boundary coefficients; the multiplier is a
-    # function of the independent variables, so it joins as a dependent.
-    deepest = table.order
-    for e in list(E2.values()) + [c for c in bc.coeffs.values()]:
-        deepest = max(deepest, ctx.inv_js.max_order_in(e))
-    js = JetSpace(base_js.independent, base_js.dependent + (MULTIPLIER,),
-                  order=max(base_js.order, deepest + spec.generator_order + 3),
-                  registry=spec.registry, kind=KIND_AUXILIARY)
+    js = _explicit_space(frame)
     p = len(spec.independent)
 
     def w_explicit(g: str) -> Expr:
@@ -797,9 +781,9 @@ def noether_laws(L: InvariantLagrangian, frame: MovingFrame,
             el, L, frame, return_multiplier=True)
         lam_bind = _multiplier_bindings(
             frame, lam_value, [v for vec in upsilon.values() for v in vec])
-        red = frame.constraint_reduction()
-        upsilon = {ind: tuple(canonical(subst(subst(v, lam_bind), red))
-                              for v in vec)
+        upsilon = {ind: tuple(
+                       canonical(frame.constraint_reduction(subst(v, lam_bind)))
+                       for v in vec)
                    for ind, vec in upsilon.items()}
     elif relations:
         upsilon = {ind: tuple(syzygy_reduce(v, frame, relations) for v in vec)
@@ -824,7 +808,7 @@ def noether_laws(L: InvariantLagrangian, frame: MovingFrame,
 
 def _multiplier_bindings(frame: MovingFrame, lam_value: Expr, exprs) -> dict[str, Expr]:
     """D^K lambda for each multiplier jet lambda_K occurring in exprs."""
-    inv_js = frame.inv_space(order=16, extra_dependent=(MULTIPLIER,))
+    inv_js = frame.inv_space(multiplier=True)
     out = {}
     for e in exprs:
         for name in e.free_names() - out.keys():
@@ -844,12 +828,12 @@ def eliminate_multiplier(el_system: dict[str, Expr], L: InvariantLagrangian,
     algebraically; the solution is substituted everywhere.
     """
     spec = frame.spec
-    inv_js = frame.inv_space(order=16, extra_dependent=(MULTIPLIER,))
+    inv_js = frame.inv_space(multiplier=True)
     if L.constraint is None:
         return (dict(el_system), None) if return_multiplier else dict(el_system)
 
-    red = frame.constraint_reduction()
-    system = {dep: canonical(subst(e, red)) for dep, e in el_system.items()}
+    system = {dep: canonical(frame.constraint_reduction(e))
+              for dep, e in el_system.items()}
 
     def lam_jets(e: Expr):
         return [n for n in e.free_names()

@@ -349,7 +349,7 @@ def _check_el_oracle(frame, L):
     ctx = vc._context(frame, L)
     el = vc.invariant_el(L, ctx.H, reduce_syzygies=False)
     L_jets = ctx.table.generators_to_jets(L.total())
-    base_js = frame.jet_space(order=14)
+    base_js = frame.jet_space()
     js = JetSpace(base_js.independent, base_js.dependent + ("lambda",),
                   order=14, registry=reg, kind=se.KIND_AUXILIARY)
     pro = spec.prolonged_action(0)

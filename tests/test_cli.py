@@ -1,6 +1,11 @@
+import argparse
+import functools
 import json
 import random
 from importlib import resources
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from framecalc import cli, frame, liegroup, varcalc
 
@@ -46,6 +51,20 @@ def test_unregistered_symbol_exit_3(capsys):
     code, out, err = run_cli(capsys, "derive", "--entry", "sl2-action1",
                              "--lagrangian", "kappa^2")
     assert code == 3
+
+
+@pytest.mark.parametrize("lagrangian", [
+    "u",                 # a jet coordinate, not an invariant
+    "a*sigma_x^2",       # a group parameter
+    "lambda*sigma_x^2",  # the multiplier
+    "c1*sigma_x^2",      # an integration constant
+])
+def test_lagrangian_outside_generator_jets_exit_3(capsys, lagrangian):
+    code, out, err = run_cli(capsys, "laws", "--entry", "sl2-action1",
+                             "--lagrangian", lagrangian, "--no-verify")
+    assert code == 3
+    assert out == ""
+    assert "generator jets and independent variables" in err
 
 
 def test_usage_error_exit_2(capsys):
@@ -124,6 +143,19 @@ def test_catalog_dir_entry_validated_at_load(capsys, tmp_path):
     assert "infinitesimal gamma mismatch on u" in err
 
 
+def test_catalog_dir_frame_verified_at_load(capsys, tmp_path):
+    src = resources.files("framecalc").joinpath("catalog/sl2-action1.json")
+    data = json.loads(src.read_text())
+    data["frame"]["c"] = "u_xx/(3*u_x^(3/2))"
+    (tmp_path / "sl2-action1.json").write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "laws", "--catalog-dir", str(tmp_path),
+                             "--entry", "sl2-action1",
+                             "--lagrangian", "sigma_x^2/2", "--no-verify")
+    assert code == 4
+    assert out == ""
+    assert "normalization psi(u_xx) = 0 violated" in err
+
+
 def test_laws_builds_shared_facts_once(capsys, monkeypatch):
     calls = {"adjoint_matrix": 0, "build_invariant_table": 0}
 
@@ -143,3 +175,67 @@ def test_laws_builds_shared_facts_once(capsys, monkeypatch):
     capsys.readouterr()
     assert code == 0
     assert calls == {"adjoint_matrix": 1, "build_invariant_table": 2}
+
+
+# -- the Lagrangian contract, fuzzed -------------------------------------------
+
+@functools.cache
+def _fuzz_frame(entry):
+    """Loaded without validation and used for no derivation, so its
+    registry holds exactly what the loader registered."""
+    return frame.solve_frame(liegroup.catalog(entry, validate=False), verify=False)
+
+
+@functools.cache
+def _names_by_role(entry):
+    """Registered names of an entry, grouped: generator jets, base jets,
+    group parameters, multiplier jets, integration constants, independents."""
+    frame_ = _fuzz_frame(entry)
+    spec = frame_.spec
+    names = spec.registry.names()
+    gen = frame_.inv_space()
+    lam = frame_.inv_space(multiplier=True)
+    base = spec.jet_space()
+    return [
+        [n for n in names if gen.parse_coord(n) is not None],
+        [n for n in names if base.parse_coord(n) is not None],
+        list(spec.all_params),
+        [n for n in names if (p := lam.parse_coord(n)) is not None
+         and p[0] == liegroup.MULTIPLIER],
+        [f"c{i + 1}" for i in range(spec.r)],
+        list(spec.independent),
+    ]
+
+
+@st.composite
+def _entry_and_lagrangian(draw):
+    entry = draw(st.sampled_from(liegroup.CATALOG_NAMES))
+    name = st.sampled_from(_names_by_role(entry)).flatmap(st.sampled_from)
+    atom = st.one_of(name, st.integers(0, 9).map(str))
+    well_formed = st.recursive(
+        atom,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: f"({t[0]}{t[1]}{t[2]})"),
+            st.tuples(inner, st.integers(-3, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+            inner.map(lambda e: f"-{e}")),
+        max_leaves=6)
+    token_soup = st.lists(st.one_of(atom, st.sampled_from("+-*/^")),
+                          min_size=1, max_size=7).map(" ".join)
+    return entry, draw(st.one_of(well_formed, token_soup))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_entry_and_lagrangian())
+def test_lagrangian_contract_fuzz(case):
+    entry, text = case
+    frame_ = _fuzz_frame(entry)
+    args = argparse.Namespace(lagrangian=text, syzygy_multiplier=False)
+    try:
+        L = cli._lagrangian(args, frame_)
+    except cli.CliError as exc:
+        assert exc.code == 3, (text, str(exc))
+        return
+    gen = frame_.inv_space()
+    for n in L.expr.free_names():
+        assert n in frame_.spec.independent or gen.parse_coord(n) is not None, text

@@ -4,6 +4,7 @@ import pytest
 import sympy as sp
 
 from framecalc import jetcalc as jc
+from framecalc import liegroup as lg
 from framecalc import symexpr as se
 from framecalc.jetcalc import JetSpace, MultiIndex
 
@@ -105,12 +106,40 @@ def test_total_derivative_schwarzian(js):
     assert se.is_zero(d - expected)
 
 
-def test_truncation_error():
+def test_total_derivative_registers_coordinates_on_first_use():
     reg = se.SymbolRegistry()
-    small = jc.JetSpace(("x",), ("u",), order=2, registry=reg)
-    e = small.coord("u", MultiIndex((2,)))
-    with pytest.raises(jc.TruncationError):
-        jc.total_derivative(e, 0, small)
+    js = jc.JetSpace(("x",), ("u",), registry=reg)
+    name = "u_" + "x" * 20
+    assert not reg.known("u_x")
+    e = jc.total_derivative_multi(reg.expr("u"), MultiIndex((20,)), js)
+    assert str(e) == name
+    assert reg.id_of(name).kind == se.KIND_JET
+    assert reg.jet(name) == ("u", (("x", 20),))
+    assert js.parse_coord(name) == ("u", MultiIndex((20,)))
+
+
+def test_coordinate_first_reached_through_mixed_space_takes_dependent_kind():
+    reg = se.SymbolRegistry()
+    jc.JetSpace(("s",), ("sigma",), registry=reg, kind=se.KIND_GENERATOR)
+    mixed = jc.JetSpace(("s",), ("sigma", "Dtau_sigma"), registry=reg,
+                        kind=se.KIND_AUXILIARY)
+    sigma, w = reg.expr("sigma"), reg.expr("Dtau_sigma")
+    d = jc.total_derivative(sigma * w, 0, mixed)
+    assert se.is_zero(d - reg.expr("sigma_s") * w - sigma * reg.expr("Dtau_sigma_s"))
+    assert reg.id_of("sigma_s").kind == se.KIND_GENERATOR
+    assert reg.id_of("Dtau_sigma_s").kind == se.KIND_AUXILIARY
+
+
+def test_entry_parse_vocabulary():
+    # the loader registers generator jets to GENERATOR_VOCABULARY_ORDER and
+    # base jets to BASE_VOCABULARY_ORDER; nothing above parses
+    reg = lg.catalog("sl2-action1", validate=False).registry
+    se.parse("sigma_" + "x" * lg.GENERATOR_VOCABULARY_ORDER, reg)
+    se.parse("u_" + "x" * lg.BASE_VOCABULARY_ORDER, reg)
+    for name in ("sigma_" + "x" * (lg.GENERATOR_VOCABULARY_ORDER + 1),
+                 "u_" + "x" * (lg.BASE_VOCABULARY_ORDER + 1)):
+        with pytest.raises(se.UnknownSymbolError):
+            se.parse(name, reg)
 
 
 def test_total_derivatives_commute(js2):

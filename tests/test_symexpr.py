@@ -60,6 +60,13 @@ def test_parse_rejects_stray_character(reg):
         se.parse("u_x $ 2", reg)
 
 
+@pytest.mark.parametrize("text", ["sigma/0", "sigma/(1-1)", "0^(-1)"])
+def test_parse_rejects_division_by_zero(reg, text):
+    reg.register("sigma", se.KIND_GENERATOR)
+    with pytest.raises(se.ParseError, match="division by zero"):
+        se.parse(text, reg)
+
+
 def test_parse_negative_and_fractional_exponents(reg):
     assert se.is_zero(se.parse("u_x^-2", reg) - reg.expr("u_x") ** (-2))
     assert se.is_zero(se.parse("u_x^(-3/2)", reg) - reg.expr("u_x") ** Fraction(-3, 2))

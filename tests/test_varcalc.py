@@ -24,7 +24,7 @@ def equal_up_to_rational_constant(a: se.Expr, b: se.Expr) -> bool:
 def test_adjoint_sl2_H_is_antiselfadjoint(frames, contexts):
     _, ctx = contexts("sl2-action1", "sigma_x^2/2")
     frame = frames("sl2-action1")
-    inv = frame.inv_space(order=12)
+    inv = frame.inv_space()
     H = ctx.H.op("sigma", "u")
     Hstar = H.adjoint(inv)
     # (D^3 + 2 sigma D + sigma_x)* = -(D^3 + 2 sigma D + sigma_x)
@@ -36,7 +36,7 @@ def test_adjoint_sl2_H_is_antiselfadjoint(frames, contexts):
 def test_adjoint_surface_H2(frames, contexts):
     _, ctx = contexts("sl2-surface", SURF_L)
     frame = frames("sl2-surface")
-    inv = frame.inv_space(order=12)
+    inv = frame.inv_space()
     H2s = ctx.H.op("kappa", "u").adjoint(inv)
     # (D_t - kappa D_x + kappa_x)* = -D_t + kappa D_x + 2 kappa_x
     reg = frame.spec.registry
@@ -58,7 +58,7 @@ def test_adjoint_identity_operator(frames):
 
 def test_adjoint_involution_random_ops(frames):
     frame = frames("sl2-action1")
-    inv = frame.inv_space(order=12)
+    inv = frame.inv_space()
     reg = frame.spec.registry
     rnd = random.Random(17)
     basis = [se.integer(1), reg.expr("sigma"), reg.expr("sigma_x"),
@@ -356,7 +356,7 @@ def test_el_oracle_direct_route(frames, contexts):
     L, ctx = contexts("sl2-action1", "sigma_x^2/2")
     el = vc.invariant_el(L, ctx.H, reduce_syzygies=False)
     L_jets = ctx.table.generators_to_jets(L.total())
-    js = frame.jet_space(order=12)
+    js = frame.jet_space()
     e_direct = euler_operator(L_jets, "u", js)
     pro = spec.prolonged_action(0)
     factor = se.subst(
