@@ -3,15 +3,16 @@ infinitesimals, Adjoint representation, and Killing form.
 
 Catalog entries are JSON data files bundled with the package; the loader
 validates every structural invariant (group axioms, left action,
-infinitesimal basis consistency) before returning a GroupActionSpec.
+infinitesimal basis consistency, the Adjoint representation) before
+returning a GroupActionSpec.
 
 Matrix conventions follow the row form Ad_g(v_i) = sum_j Ad(g)_ij v_j, in
-which Ad(g)Ad(h) = Ad(gh) and Ad(g) B Ad(g)^T = B.
+which Ad(g)Ad(h) = Ad(gh) and Ad(g) B Ad(g)^T = B. Ad(g) comes from the
+group law alone, as conjugation by g^-1 at the identity.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -41,7 +42,6 @@ from .symexpr import (
 __all__ = [
     "GroupActionSpec",
     "InfinitesimalMatrix",
-    "AdjointMatrix",
     "KillingMatrix",
     "CatalogError",
     "UnknownEntryError",
@@ -65,6 +65,10 @@ GENERATOR_VOCABULARY_ORDER = 8
 
 # The Lagrange multiplier, an auxiliary dependent over the independents.
 MULTIPLIER = "lambda"
+
+# The parameter e of the curves e -> identity + e v_j that adjoint_matrix
+# differentiates; parsed names cannot start with an underscore.
+_EPS = sp.Symbol("_eps")
 
 
 class CatalogError(SymExprError):
@@ -99,18 +103,6 @@ class InfinitesimalMatrix:
 
 
 @dataclass(frozen=True)
-class AdjointMatrix:
-    params: tuple[str, ...]
-    rows: tuple[tuple[Expr, ...], ...]
-
-    def at(self, i: int, j: int) -> Expr:
-        return self.rows[i][j]
-
-    def sympy(self) -> sp.Matrix:
-        return sp.Matrix([[e.sympy for e in row] for row in self.rows])
-
-
-@dataclass(frozen=True)
 class KillingMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -120,11 +112,6 @@ class KillingMatrix:
 
     def is_invertible(self) -> bool:
         return self.sympy().det() != 0
-
-
-def _rows_to_expr(m: sp.Matrix) -> tuple[tuple[Expr, ...], ...]:
-    return tuple(tuple(canonical(Expr(m[i, j])) for j in range(m.cols))
-                 for i in range(m.rows))
 
 
 class GroupActionSpec:
@@ -234,11 +221,6 @@ class GroupActionSpec:
         return parsed[1].order
 
     # -- derived facts, built once per entry ------------------------------
-    @cached_property
-    def adjoint(self) -> "AdjointMatrix":
-        """Ad(g) from adjoint_matrix without its verification."""
-        return adjoint_matrix(self, verify=False)
-
     @cached_property
     def structure_constants(self) -> dict[tuple[int, int], tuple[sp.Rational, ...]]:
         return _structure_constants(self)
@@ -450,6 +432,26 @@ def _validate_infinitesimals(spec: GroupActionSpec) -> None:
                     f"derived {v}, declared {declared}")
 
 
+def _validate_adjoint(spec: GroupActionSpec) -> None:
+    """Ad(e) = I, Ad(g)Ad(h) = Ad(gh) and Ad(g) B Ad(g)^T = B at symbolic g, h."""
+    def check(resid: sp.Matrix, what: str) -> None:
+        for k, e in enumerate(resid):
+            if not spec.is_zero_mod_relations(Expr(e)):
+                raise CatalogError(f"{spec.name}: {what} at {divmod(k, spec.r)}")
+
+    def ad(g) -> sp.Matrix:
+        return sp.Matrix([[e.sympy for e in row] for row in adjoint_matrix(spec, g)])
+
+    check(ad(spec.identity_params()) - sp.eye(spec.r), "Ad(identity) != I")
+    reg = spec._suffixed_registry(("1", "2"))
+    g1 = {p: reg.expr(f"{p}1") for p in spec.params}
+    g2 = {p: reg.expr(f"{p}2") for p in spec.params}
+    A1 = ad(g1)
+    check(A1 * ad(g2) - ad(spec.product_map(g1, g2)), "Ad(g)Ad(h) != Ad(gh)")
+    B = killing_form(spec).sympy()
+    check(A1 * B * A1.T - B, "Ad(g) B Ad(g)^T != B")
+
+
 def catalog(name: str, catalog_dir=None, validate: bool = True) -> GroupActionSpec:
     """Load a catalog entry by name and validate its invariants."""
     data = _load_data(name, catalog_dir)
@@ -457,6 +459,7 @@ def catalog(name: str, catalog_dir=None, validate: bool = True) -> GroupActionSp
     if validate:
         _validate_group_axioms(spec)
         _validate_infinitesimals(spec)
+        _validate_adjoint(spec)
     return spec
 
 
@@ -553,92 +556,22 @@ def killing_form(spec: GroupActionSpec) -> KillingMatrix:
     return B
 
 
-def adjoint_matrix(spec: GroupActionSpec, verify: bool = True) -> AdjointMatrix:
-    """Adjoint representation matrix Ad(g), solved row by row from the
-    linear relation Ad(g) Omega(z) = Omega(g.z) (d(g.z)/dz)^-T, using just
-    enough prolonged coordinates to make the system full rank."""
-    r = spec.r
-    js = spec.jet_space()
-    rows_choice = None
-    for order in range(1, 5):
-        coords = [name for _, _, name in js.coords_up_to(order)]
-        omega = infinitesimal_matrix(spec, coords)
-        m = len(coords)
-        OT = omega.sympy().T  # m x r
-        for combo in itertools.combinations(range(m), r):
-            sub = OT[list(combo), :]
-            if sp.cancel(sub.det()) != 0:
-                rows_choice = combo
-                break
-        if rows_choice is not None:
-            break
-    if rows_choice is None:
-        raise RankDeficiencyError(
-            f"{spec.name}: infinitesimal matrix has rank < {r} on prolonged coordinates")
-
-    transformed = spec.prolonged_action(order)
-    tx = {name: transformed[name] for name in coords}
-    jac = sp.Matrix(m, m, lambda i, j: sp.diff(
-        tx[coords[i]].sympy, spec.registry.sympy_symbol(coords[j])))
-    jac_inv_T = jac.inv().T
-    omega_tilde = sp.Matrix(
-        r, m, lambda i, j: subst(omega.at(i, j), tx).sympy)
-    rhs = omega_tilde * jac_inv_T
-
-    O = omega.sympy()  # r x m
-    sub = O.T[list(rows_choice), :]
-    sub_inv = sub.inv()
-    ad_T = sub_inv * rhs.T[list(rows_choice), :]
-    ad = ad_T.T
-    ad = ad.applyfunc(lambda e: sp.cancel(sp.together(e)))
-
-    entries = _rows_to_expr(ad)
-    coord_names = set(coords)
-    for row in entries:
-        for e in row:
-            bad = e.free_names() & coord_names
-            if bad:
-                raise RankDeficiencyError(
-                    f"{spec.name}: Ad(g) entry depends on coordinates {sorted(bad)}")
-    adm = AdjointMatrix(tuple(spec.params), entries)
-
-    if verify:
-        _verify_adjoint(spec, adm, O, rhs)
-    return adm
-
-
-def _verify_adjoint(spec: GroupActionSpec, adm: AdjointMatrix,
-                    O: sp.Matrix, rhs: sp.Matrix) -> None:
-    # Full defining relation residual.
-    resid = adm.sympy() * O - rhs
-    for e in resid:
-        if not spec.is_zero_mod_relations(Expr(sp.cancel(sp.together(e)))):
-            raise RankDeficiencyError(f"{spec.name}: Ad(g) does not satisfy its defining relation")
-    # Ad(identity) = I
-    ident = spec.identity_params()
-    for i in range(spec.r):
-        for j in range(spec.r):
-            v = subst(adm.at(i, j), ident)
-            target = Expr(1) if i == j else Expr(0)
-            if not is_zero(v - target):
-                raise RankDeficiencyError(f"{spec.name}: Ad(identity) != I at {(i, j)}")
-    # Representation property Ad(g)Ad(h) = Ad(g h)
-    reg = spec._suffixed_registry(("1", "2"))
-    g1 = {p: reg.expr(f"{p}1") for p in spec.params}
-    g2 = {p: reg.expr(f"{p}2") for p in spec.params}
-    A1 = adjoint_at(spec, adm, g1)
-    A2 = adjoint_at(spec, adm, g2)
-    A12 = adjoint_at(spec, adm, spec.product_map(g1, g2))
-    prod = A1 * A2
-    for i in range(spec.r):
-        for j in range(spec.r):
-            if not spec.is_zero_mod_relations(Expr(sp.cancel(prod[i, j] - A12[i, j]))):
-                raise RankDeficiencyError(
-                    f"{spec.name}: Ad(g)Ad(h) != Ad(gh) at {(i, j)}")
-
-
-def adjoint_at(spec: GroupActionSpec, adm: AdjointMatrix,
-               params: dict[str, Expr]) -> sp.Matrix:
-    """Ad evaluated at explicit parameter expressions."""
-    return sp.Matrix(spec.r, spec.r,
-                     lambda i, j: subst(adm.at(i, j), params).sympy)
+def adjoint_matrix(spec: GroupActionSpec, g: dict[str, Expr]) -> tuple[tuple[Expr, ...], ...]:
+    """Ad(g) at parameter expressions g, from the group law: row j holds the
+    basis_directions coefficients of d/de [g^-1 (e + e v_j) g] at e = 0."""
+    velocities = sp.Matrix(len(spec.params), spec.r, lambda i, j: (
+        spec.basis_directions[j][1].get(spec.params[i], Expr(0)).sympy))
+    pivots = velocities.T.rref()[1]
+    if len(pivots) < spec.r:
+        raise RankDeficiencyError(f"{spec.name}: basis directions are dependent")
+    solve = velocities[list(pivots), :].inv()
+    eps = Expr(_EPS)
+    g_inv = spec.inverse_map(g)
+    rows = []
+    for _, velocity in spec.basis_directions:
+        h = {p: spec.identity[p] + eps * velocity.get(p, Expr(0)) for p in spec.params}
+        conj = spec.product_map(g_inv, spec.product_map(h, g))
+        tangent = sp.Matrix([sp.diff(conj[spec.params[i]].sympy, _EPS).subs(_EPS, 0)
+                             for i in pivots])
+        rows.append(tuple(canonical(Expr(c)) for c in solve * tangent))
+    return tuple(rows)

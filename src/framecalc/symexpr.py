@@ -581,10 +581,6 @@ class ZeroVerdict:
     def __bool__(self):
         return self.zero
 
-    @property
-    def flag(self) -> str:
-        return "exact" if self.exact else "probabilistic"
-
 
 def _sample_rational(rng: random.Random, positive: bool) -> sp.Rational:
     val = sp.Rational(rng.randint(1, 40), rng.randint(1, 40))
@@ -603,7 +599,7 @@ def zero_verdict(e: Expr, rng: random.Random | None = None, samples: int = 20,
 
     Canonicalization decides the rational fragment exactly; otherwise the
     expression is evaluated at random rational points (50-digit precision)
-    and a zero verdict is flagged as probabilistic.
+    and a zero verdict is marked as probabilistic (``exact`` is False).
     """
     c = canonical(e)
     if c.is_zero_literal():

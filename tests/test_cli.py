@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import random
+import time
 from importlib import resources
 
 import pytest
@@ -156,6 +157,17 @@ def test_catalog_dir_frame_verified_at_load(capsys, tmp_path):
     assert "normalization psi(u_xx) = 0 violated" in err
 
 
+def test_derivation_depth_bound_exit_4(capsys):
+    # sigma_xxxxxxxx on sl2-action1 needs depth 3 + 8 = 11
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "laws", "--entry", "sl2-action1",
+                             "--lagrangian", "sigma_xxxxxxxx^2", "--no-verify")
+    assert code == 4
+    assert out == ""
+    assert "depth 11" in err and f"maximum, {varcalc.MAX_DERIVATION_DEPTH}" in err
+    assert time.perf_counter() - start < 10
+
+
 def test_laws_builds_shared_facts_once(capsys, monkeypatch):
     calls = {"adjoint_matrix": 0, "build_invariant_table": 0}
 
@@ -165,8 +177,8 @@ def test_laws_builds_shared_facts_once(capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(liegroup, "adjoint_matrix",
-                        counting("adjoint_matrix", liegroup.adjoint_matrix))
+    monkeypatch.setattr(varcalc, "adjoint_matrix",
+                        counting("adjoint_matrix", varcalc.adjoint_matrix))
     table = counting("build_invariant_table", frame.build_invariant_table)
     monkeypatch.setattr(frame, "build_invariant_table", table)
     monkeypatch.setattr(varcalc, "build_invariant_table", table)

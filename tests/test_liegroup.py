@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from adjoint_oracle import prolonged_adjoint
 from framecalc import liegroup as lg
 from framecalc import symexpr as se
 
@@ -74,7 +75,7 @@ def test_infinitesimal_matrix_fixed_independent_column(specs):
 
 def test_adjoint_matrix_projective_closed_form(specs):
     spec = specs("sl2-action1")
-    ad = lg.adjoint_matrix(spec)
+    ad = lg.adjoint_matrix(spec, spec.param_symbol_map())
     reg = spec.registry
     a, b, c = reg.expr("a"), reg.expr("b"), reg.expr("c")
     d = spec.derived["d"]
@@ -83,32 +84,49 @@ def test_adjoint_matrix_projective_closed_form(specs):
            [-(2 * a * c), -(c * c), a * a]]
     for i in range(3):
         for j in range(3):
-            assert se.is_zero(ad.at(i, j) - adT[j][i]), (i, j)
+            assert se.is_zero(ad[i][j] - adT[j][i]), (i, j)
 
 
 def test_adjoint_identity(specs):
     for name in ("sl2-action2", "se2-curve"):
         spec = specs(name)
-        ad = lg.adjoint_matrix(spec, verify=False)
-        ident = spec.identity_params()
+        ad = lg.adjoint_matrix(spec, spec.identity_params())
         for i in range(spec.r):
             for j in range(spec.r):
-                v = se.subst(ad.at(i, j), ident)
-                assert se.is_zero(v - (1 if i == j else 0))
+                assert se.is_zero(ad[i][j] - (1 if i == j else 0))
 
 
 def test_adjoint_representation_and_killing_invariance(specs):
-    # Ad(g)Ad(h) = Ad(gh) and Ad B Ad^T = B run inside adjoint_matrix when
+    # The oracle's Ad(g)Ad(h) = Ad(gh) runs inside prolonged_adjoint when
     # verify=True; exercise the full verification on the sl2 entries.
     for name in ("sl2-action1", "sl2-action3"):
-        lg.adjoint_matrix(specs(name), verify=True)
+        prolonged_adjoint(specs(name), verify=True)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_adjoint_matrix_matches_prolonged_action_oracle(specs, name):
+    spec = specs(name)
+    ad = lg.adjoint_matrix(spec, spec.param_symbol_map())
+    oracle = prolonged_adjoint(spec, verify=False)
+    for i in range(spec.r):
+        for j in range(spec.r):
+            assert spec.is_zero_mod_relations(ad[i][j] - se.Expr(oracle[i, j])), (i, j)
+
+
+def test_adjoint_validation_rejects_changed_product():
+    spec = lg.catalog("sl2-action1", validate=False)
+    lg._validate_adjoint(spec)
+    spec._product_src["b"] = "a1*b2 + 2*b1*d2"
+    with pytest.raises(lg.CatalogError, match="Ad"):
+        lg._validate_adjoint(spec)
 
 
 def test_killing_invariance_numeric(specs, rng):
     spec = specs("sl2-action1")
-    ad = lg.adjoint_matrix(spec, verify=False)
+    ad = sp.Matrix([[e.sympy for e in row]
+                    for row in lg.adjoint_matrix(spec, spec.param_symbol_map())])
     B = lg.killing_form(spec).sympy()
-    resid_exprs = ad.sympy() * B * ad.sympy().T - B
+    resid_exprs = ad * B * ad.T - B
     for _ in range(100):
         gvals = spec.sample_params(rng)
         for e in resid_exprs:
@@ -119,7 +137,7 @@ def test_killing_invariance_numeric(specs, rng):
 def test_adactmxform_residual_on_first_prolongation(specs):
     # Ad(g) Omega(z) = Omega(g.z) (dz~/dz)^-T on (u, u_x), "easily verified"
     spec = specs("sl2-action1")
-    ad = lg.adjoint_matrix(spec, verify=False).sympy()
+    ad = prolonged_adjoint(spec, verify=False)
     om = lg.infinitesimal_matrix(spec, ["u", "u_x"])
     pro = spec.prolonged_action(1)
     tx = {"u": pro["u"], "u_x": pro["u_x"]}
@@ -136,8 +154,7 @@ def test_adactmxform_residual_on_first_prolongation(specs):
 def test_se2_adjoint_at_frame_arclength_matrix(specs, frames):
     spec = specs("se2-curve")
     frame = frames("se2-curve")
-    ad = lg.adjoint_matrix(spec, verify=False)
-    inv_params = spec.inverse_map(frame.params)
+    ad = lg.adjoint_matrix(spec, spec.inverse_map(frame.params))
     reg = spec.registry
     x, u, x_s, u_s = (reg.expr(n) for n in ("x", "u", "x_s", "u_s"))
     expected = [[x_s, -u_s, se.Expr(0)],
@@ -146,8 +163,7 @@ def test_se2_adjoint_at_frame_arclength_matrix(specs, frames):
     unit = sp.sqrt(reg.sympy_symbol("u_s") ** 2 + reg.sympy_symbol("x_s") ** 2)
     for i in range(3):
         for j in range(3):
-            entry = se.subst(ad.at(i, j), inv_params)
-            on_arc = se.Expr(entry.sympy.subs(unit, 1))
+            on_arc = se.Expr(ad[i][j].sympy.subs(unit, 1))
             assert se.is_zero(on_arc - expected[i][j]), (i, j)
 
 
