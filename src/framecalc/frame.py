@@ -127,8 +127,7 @@ def invariantize(e: Expr, frame: MovingFrame, tau: bool = False) -> Expr:
     then substitute the frame parameters."""
     spec = frame.spec
     js = frame.jet_space(tau=tau)
-    n = js.max_order_in(e)
-    pro = spec.prolonged_action(n, tau=tau)
+    pro = spec.prolonged_action(tau=tau)
     bind = {}
     for name in e.free_names():
         if js.parse_coord(name) is not None:

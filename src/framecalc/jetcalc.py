@@ -230,34 +230,19 @@ def prolong_vector_field(v: VectorField, order: int, js: JetSpace) -> VectorFiel
 TAU = "tau"
 
 
-def prolong_action(spec, order: int, js: JetSpace,
-                   existing: dict[str, Expr] | None = None,
-                   index_filter=None) -> dict[str, Expr]:
-    """Transformed jet coordinates g.u^a_K as expressions in jet coordinates
-    and group parameters. ``spec.action`` maps each dependent to its
-    transform on base coordinates; the independent variables are fixed, so
-    g.u^a_{K+e_i} = D_i(g.u^a_K).
+def prolong_action(spec, name: str, js: JetSpace, known) -> Expr:
+    """The transformed jet coordinate g.u^a_K for the coordinate ``name`` =
+    u^a_K, as an expression in jet coordinates and group parameters.
+    ``spec.action`` maps each dependent to its transform on base
+    coordinates; the independent variables are fixed, so
+    g.u^a_K = D_i(g.u^a_{K-e_i}), taken along the last direction i of K
+    with g.u^a_{K-e_i} read from the mapping ``known``.
     """
-    out: dict[str, Expr] = dict(existing) if existing else {}
-    for dep in js.dependent:
-        if dep not in out:
-            out[dep] = canonical(spec.action[dep])
-    for n in range(order):
-        for dep in js.dependent:
-            for K in MultiIndex.all_of_order(js.p, n):
-                if index_filter is not None and not index_filter(K):
-                    continue
-                name0 = js.coord_name(dep, K)
-                if name0 not in out:
-                    continue
-                for i in range(js.p):
-                    KK = K.bump(i)
-                    if index_filter is not None and not index_filter(KK):
-                        continue
-                    name = js.coord_name(dep, KK)
-                    if name not in out:
-                        out[name] = total_derivative(out[name0], i, js)
-    return out
+    dep, K = js.parse_coord(name)
+    if K.order == 0:
+        return canonical(spec.action[dep])
+    i = K.directions()[-1]
+    return total_derivative(known[js.coord_name(dep, K.drop(i))], i, js)
 
 
 def euler_operator(L: Expr, dep: str, js: JetSpace) -> Expr:

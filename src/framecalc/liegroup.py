@@ -114,6 +114,25 @@ class KillingMatrix:
         return self.sympy().det() != 0
 
 
+class _Prolongation(dict):
+    """g.u^a_K by jet coordinate name, each computed when first asked for
+    (jetcalc.prolong_action), so only the coordinates in use and their
+    parents are ever built."""
+
+    def __init__(self, spec: "GroupActionSpec", tau: bool):
+        super().__init__()
+        self._spec = spec
+        self._js = spec.jet_space(tau)
+
+    def __missing__(self, name: str) -> Expr:
+        if self._js.parse_coord(name) is None:
+            raise KeyError(name)
+        e = self._spec.subst_derived(
+            jetcalc.prolong_action(self._spec, name, self._js, self))
+        self[name] = e
+        return e
+
+
 class GroupActionSpec:
     """One validated catalog entry.
 
@@ -181,7 +200,7 @@ class GroupActionSpec:
         if c is not None:
             self.constraint = {"generator": c["generator"],
                                "value": parse(c["value"], self.registry)}
-        self._prolonged: dict[str, list] = {}
+        self._prolonged: dict[bool, _Prolongation] = {}
 
         # Generator symbols and their derivatives, the multiplier, and the
         # integration constants are part of the entry's registry, so
@@ -295,22 +314,17 @@ class GroupActionSpec:
         return is_zero(Expr(s), rng=rng)
 
     # -- action ----------------------------------------------------------
-    def prolonged_action(self, order: int, tau: bool = False) -> dict[str, Expr]:
-        """Transformed jet coordinates g.u^a_K for |K| <= order, with derived
-        parameters substituted. Cached incrementally per (tau, order)."""
-        key = "tau" if tau else "plain"
-        state = self._prolonged.setdefault(key, [-1, {}])
-        if order > state[0]:
-            js = self.jet_space(tau)
-            # second tau derivatives never occur in the variational calculus
-            filt = (lambda K: K.counts[-1] <= 1) if tau else None
-            raw = jetcalc.prolong_action(self, order, js=js, existing=state[1],
-                                         index_filter=filt)
-            for name, e in raw.items():
-                if name not in state[1]:
-                    state[1][name] = self.subst_derived(e)
-            state[0] = order
-        return state[1]
+    def prolonged_action(self, order: int = 0, tau: bool = False) -> dict[str, Expr]:
+        """Transformed jet coordinates g.u^a_K, with derived parameters
+        substituted, by name: a mapping, cached per tau, that holds every
+        coordinate with |K| <= order and computes any other coordinate of
+        the space when first asked for."""
+        pro = self._prolonged.get(tau)
+        if pro is None:
+            pro = self._prolonged[tau] = _Prolongation(self, tau)
+        for _, _, name in self.jet_space(tau).coords_up_to(order):
+            pro[name]
+        return pro
 
     def act_on_base(self, params: dict[str, Expr], point: dict[str, Expr]) -> dict[str, Expr]:
         """g . z on base coordinates for explicit parameter values/exprs."""

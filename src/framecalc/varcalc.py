@@ -42,6 +42,7 @@ from .frame import (
     SyzygyOperators,
     build_invariant_table,
     syzygy_operators,
+    verify_syzygies,
     _isym_name,
     _tau_expansions,
 )
@@ -492,13 +493,30 @@ def boundary_coeffs(L: InvariantLagrangian, H: SyzygyOperators,
     Stage 1 moves D_K off D_tau kappa_j; stage 2 substitutes the syzygies
     D_tau kappa_j = sum_a H_ja I^a_tau and moves derivatives off I^a_tau.
     The boundary content is finally re-expressed in the I^a_{tau J}
-    symbols via the tau-extended invariant table, and the defining
-    integration-by-parts identity is verified with is_zero.
+    symbols via the tau-extended invariant table. With ``verify`` the
+    defining integration-by-parts identity is checked (_verify_boundary),
+    and so is the null divergence of the surface multiplier terms.
     """
     frame = L.frame
-    spec = frame.spec
     if ctx is None:
         ctx = _context(frame, L)
+    work_js, V, E2, out = _integrate_by_parts(ctx)
+    if verify:
+        _verify_boundary(ctx, work_js, V, E2, out, rng)
+    if L.constraint is not None and L.constraint_kind == "syzygy":
+        out = _drop_multiplier_null_divergence(ctx, work_js, out, rng, verify)
+    return out
+
+
+def _integrate_by_parts(ctx: DerivationContext):
+    """The two stages of boundary_coeffs, in a formal jet space work_js over
+    the generators, the multiplier, w_j = D_tau kappa_j and the I^a_tau.
+
+    Returns (work_js, V, E2, bc): the variation V with the syzygies
+    substituted for the w_j, the coefficients E2 of the I^a_tau, and the
+    boundary coefficients of V = sum_a E2_a I^a_tau + sum_i D_i(P_i)."""
+    frame = ctx.frame
+    spec = frame.spec
     registry = spec.registry
     p = len(spec.independent)
 
@@ -579,21 +597,40 @@ def boundary_coeffs(L: InvariantLagrangian, H: SyzygyOperators,
                 f"boundary term along {spec.independent[i]} is not linear "
                 f"in the I^a_tauJ symbols")
 
-    out = BoundaryCoefficients(frame, spec.independent, coeffs, max_j)
-    if verify:
-        _verify_boundary(ctx, V1, E2, out, rng)
-    if L.constraint is not None and L.constraint_kind == "syzygy":
-        out = _drop_multiplier_null_divergence(ctx, out, rng)
+    bc = BoundaryCoefficients(frame, spec.independent, coeffs, max_j)
+    return work_js, subst_w(V1), E2, bc
+
+
+def _formal_boundary(ctx: DerivationContext, coeffs) -> Expr:
+    """sum C * I^a_{tau J} with each I-symbol written through formal jets
+    of the I^a_tau (ctx.isym_to_formal); coeffs is [(dep, J, C), ...]."""
+    ind = ctx.spec.independent
+    out = Expr(0)
+    for dep, J, c in coeffs:
+        out = out + c * ctx.isym_to_formal[_isym_name(dep, J, ind)]
     return out
 
 
-def _explicit_space(frame: MovingFrame) -> JetSpace:
-    """The tau-extended base jets with the multiplier, a function of the
-    independent variables, as a further dependent: the space in which
-    identities written out in jet coordinates are checked."""
-    js = frame.jet_space(tau=True)
-    return JetSpace(js.independent, js.dependent + (MULTIPLIER,),
-                    registry=js.registry)
+def _explicit_image(ctx: DerivationContext, e: Expr, memo: dict) -> Expr:
+    """e, in generator jets and formal jets D_J I^a_tau, written out in jet
+    coordinates with tau: D_J I^a_tau becomes D_J of the explicit u^a_tau
+    invariant (memoized by coordinate name in ``memo``)."""
+    spec = ctx.spec
+    table = ctx.table
+    js = ctx.frame.jet_space(tau=True)
+    p = len(spec.independent)
+    bind = {}
+    for name in e.free_names():
+        parsed = ctx.formal_js.parse_coord(name)
+        if parsed is None:
+            continue
+        if name not in memo:
+            base, J = parsed
+            dep = spec.dependent[ctx.formal_base.index(base)]
+            u_tau = table.explicit[js.coord_name(dep, MultiIndex.zero(p + 1).bump(p))]
+            memo[name] = total_derivative_multi(u_tau, MultiIndex(J.counts + (0,)), js)
+        bind[name] = memo[name]
+    return table.generators_to_jets(subst(e, bind))
 
 
 def _multiplier_part(e: Expr, inv_js: JetSpace) -> Expr:
@@ -610,87 +647,96 @@ def _multiplier_part(e: Expr, inv_js: JetSpace) -> Expr:
     return canonical(Expr(out / den))
 
 
-def _drop_multiplier_null_divergence(ctx: DerivationContext,
-                                     bc: BoundaryCoefficients, rng
-                                     ) -> BoundaryCoefficients:
+def _drop_multiplier_null_divergence(ctx: DerivationContext, work_js: JetSpace,
+                                     bc: BoundaryCoefficients, rng,
+                                     verify: bool = True) -> BoundaryCoefficients:
     """For the syzygy-constrained surface case the multiplier terms of the
-    boundary assemble into a null divergence (identically zero once the
-    generators are written out in jet coordinates); verify that and drop
-    them, which leaves the standard multiplier-free boundary output."""
+    boundary assemble into a null divergence; drop them, which leaves the
+    standard multiplier-free boundary output.
+
+    With ``verify``, sum_i D_i(P_i^lambda) is checked to vanish formally,
+    in work_js with the I-symbols written through formal jets, modulo the
+    generator syzygies (syzygy_reduce); and each of those relations,
+    D_i(explicit g) = rhs, is checked in explicit jets. With the I-symbol
+    forms that _verify_boundary checks, this is the null divergence in
+    explicit jets."""
     spec = ctx.spec
-    table = ctx.table
     inv_js = ctx.inv_js
-    js = _explicit_space(ctx.frame)
 
     kept: dict[tuple[str, str, MultiIndex], Expr] = {}
-    resid = Expr(0)
-    for i, ind in enumerate(spec.independent):
-        Pi_lam = Expr(0)
-        for (ind2, dep, J), c in bc.coeffs.items():
-            if ind2 != ind:
-                continue
-            lam_part = _multiplier_part(c, inv_js)
-            c0 = canonical(c - lam_part)
-            if not c0.is_zero_literal():
-                kept[(ind, dep, J)] = c0
-            if not lam_part.is_zero_literal():
-                iname = _isym_name(dep, J, spec.independent)
-                Pi_lam = Pi_lam + table.generators_to_jets(lam_part) \
-                    * table.explicit[table.isym_coord[iname]]
-        resid = resid + total_derivative(Pi_lam, i, js)
-    if not zero_verdict(resid, rng=rng).zero:
-        raise VerificationFailure(
-            f"{spec.name}: multiplier boundary terms are not a null divergence")
+    lam_terms: dict[int, list] = {i: [] for i in range(len(spec.independent))}
+    for (ind, dep, J), c in bc.coeffs.items():
+        lam_part = _multiplier_part(c, inv_js)
+        c0 = canonical(c - lam_part)
+        if not c0.is_zero_literal():
+            kept[(ind, dep, J)] = c0
+        if not lam_part.is_zero_literal():
+            lam_terms[spec.independent.index(ind)].append((dep, J, lam_part))
+    if verify:
+        frame = ctx.frame
+        resid = Expr(0)
+        for i, terms in lam_terms.items():
+            resid = resid + total_derivative(_formal_boundary(ctx, terms), i, work_js)
+        if not zero_verdict(syzygy_reduce(resid, frame), rng=rng).zero:
+            raise VerificationFailure(
+                f"{spec.name}: multiplier boundary terms are not a null divergence")
+        js = frame.jet_space(tau=True)
+        explicit = {g["name"]: g["explicit"] for g in spec.generators}
+        for (g, i), rhs in frame.relations.items():
+            lhs = total_derivative(explicit[g], i, js)
+            if not zero_verdict(lhs - ctx.table.generators_to_jets(rhs), rng=rng).zero:
+                raise VerificationFailure(
+                    f"{spec.name}: generator relation D_{spec.independent[i]} {g} "
+                    f"fails in explicit jets")
     return BoundaryCoefficients(bc.frame, bc.directions, kept, bc.max_j_order)
 
 
-def _verify_boundary(ctx: DerivationContext, V1: Expr, E2: dict[str, Expr],
-                     bc: BoundaryCoefficients, rng) -> None:
-    """Explicit-jet verification of the integration-by-parts identity:
-    V1 = sum_a E2_a I^a_tau + sum_i D_i(P_i), all sides written out in jet
+def _verify_boundary(ctx: DerivationContext, work_js: JetSpace, V: Expr,
+                     E2: dict[str, Expr], bc: BoundaryCoefficients, rng) -> None:
+    """Verify the integration-by-parts identity
+    V = sum_a E2_a I^a_tau + sum_i D_i(P_i) in three parts:
+
+    1. formally, in work_js, with P_i rebuilt from the coefficients as
+       sum C^a_{i,J} isym_to_formal[I^a_{tau J}];
+    2. the syzygies D_tau kappa_j = sum_a H_ja I^a_tau, in explicit jets
+       (frame.verify_syzygies);
+    3. in explicit jets, for each I-symbol with a nonzero coefficient, its
+       formal form: the explicit invariant of u^a_{J tau} equals the image
+       of isym_to_formal[I^a_{tau J}].
+
+    The map from formal to explicit jets (generators to their explicit
+    forms, D_J I^a_tau to D_J of the explicit u^a_tau) commutes with the
+    D_i, since no catalog entry moves its independents; by 2 it takes V to
+    the variation in explicit jets, and by 3 each P_i to its explicit form.
+    So 1-3 give the identity with every side written out in jet
     coordinates with tau."""
-    frame = ctx.frame
     spec = ctx.spec
     table = ctx.table
-    js = _explicit_space(frame)
     p = len(spec.independent)
 
-    def w_explicit(g: str) -> Expr:
-        return total_derivative(
-            {gg["name"]: gg["explicit"] for gg in spec.generators}[g], p, js)
-
-    # V1 in explicit jets.
-    lhs = Expr(0)
-    L_total = ctx.lagrangian.total()
-    inv_js = ctx.inv_js
-    for name in sorted(L_total.free_names()):
-        parsed = inv_js.parse_coord(name)
-        if parsed is None or parsed[0] not in frame.generator_names():
-            continue
-        dep, K = parsed
-        dL = table.generators_to_jets(
-            Expr(sp.diff(L_total.sympy, inv_js.registry.sympy_symbol(name))))
-        KK = MultiIndex(K.counts + (0,))
-        lhs = lhs + dL * total_derivative_multi(w_explicit(dep), KK, js)
-
-    rhs = Expr(0)
-    for di, dep in enumerate(spec.dependent):
-        base = js.coord_name(dep, MultiIndex.zero(p + 1).bump(p))
-        rhs = rhs + table.generators_to_jets(E2[ctx.formal_base[di]]) \
-            * table.explicit[base]
+    resid = V
+    for base in ctx.formal_base:
+        resid = resid - E2[base] * work_js.coord(base, MultiIndex.zero(p))
     for i, ind in enumerate(spec.independent):
-        Pi = Expr(0)
-        for dep, J, c in bc.vector(ind):
-            if c.is_zero_literal():
-                continue
-            iname = _isym_name(dep, J, spec.independent)
-            Pi = Pi + table.generators_to_jets(c) * table.explicit[table.isym_coord[iname]]
-        rhs = rhs + total_derivative(Pi, i, js)
-
-    resid = lhs - rhs
+        terms = [(dep, J, c) for dep, J, c in bc.vector(ind) if not c.is_zero_literal()]
+        resid = resid - total_derivative(_formal_boundary(ctx, terms), i, work_js)
     if not zero_verdict(resid, rng=rng).zero:
         raise VerificationFailure(
             f"{spec.name}: integration-by-parts identity residual is nonzero")
+
+    if not verify_syzygies(ctx.H, table, rng):
+        raise VerificationFailure(
+            f"{spec.name}: syzygy operators fail in explicit jets")
+
+    memo: dict[str, Expr] = {}
+    used = sorted({_isym_name(dep, J, spec.independent)
+                   for (_, dep, J), c in bc.coeffs.items() if not c.is_zero_literal()})
+    for iname in used:
+        image = _explicit_image(ctx, ctx.isym_to_formal[iname], memo)
+        if not zero_verdict(table.explicit[table.isym_coord[iname]] - image,
+                            rng=rng).zero:
+            raise VerificationFailure(
+                f"{spec.name}: the formal form of {iname} fails in explicit jets")
 
 
 # ---------------------------------------------------------------------------
@@ -929,14 +975,14 @@ def reduced_system(laws: ConservationLawSet) -> list[Expr]:
     trivial rows dropped; expressions mix base coordinates, generator
     symbols, and the constants."""
     spec = laws.spec
-    frame = laws.frame
     if len(spec.independent) != 1:
         raise DerivationError("reduced system needs one independent variable")
     if all(u.is_zero_literal() for u in laws.upsilon[spec.independent[0]]):
         return []  # trivial laws force c = 0; nothing to reduce
     Binv = _b_inverse(laws)
-    ad_rho = sp.Matrix([[e.sympy for e in row]
-                        for row in adjoint_matrix(spec, frame.params)])
+    # Ad B Ad^T = B gives Ad(rho) = B Ad(rho)^-T B^-1.
+    ad_inv = sp.Matrix([[e.sympy for e in row] for row in laws.ad_inv])
+    ad_rho = laws.killing.sympy() * ad_inv.T * Binv
     om = infinitesimal_matrix(spec, list(spec.dependent)).sympy()  # r x q
     ups = sp.Matrix([[u.sympy] for u in laws.upsilon[spec.independent[0]]])
     cvec = sp.Matrix([[c.sympy] for c in laws.constants])

@@ -1,6 +1,7 @@
 import argparse
 import functools
 import json
+import pathlib
 import random
 import time
 from importlib import resources
@@ -187,6 +188,40 @@ def test_laws_builds_shared_facts_once(capsys, monkeypatch):
     capsys.readouterr()
     assert code == 0
     assert calls == {"adjoint_matrix": 1, "build_invariant_table": 2}
+
+
+def test_laws_se2_elastica_verified(capsys):
+    # Written out in explicit jets, the radical sqrt(x_s^2 + u_s^2) made this
+    # identity check run unboundedly; the golden file is the unverified output.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "laws", "--entry", "se2-curve",
+                             "--lagrangian", "kappa_s^2/2 + kappa^2")
+    assert code == 0, err
+    assert time.perf_counter() - start < 60
+    golden = pathlib.Path(__file__).parent / "golden" / "laws-se2-elastica.json"
+    assert out == golden.read_text()
+
+
+def test_verification_runs_once_per_derivation(capsys, monkeypatch):
+    calls = {"_verify_boundary": 0, "verify_syzygies": 0}
+
+    def counting(name):
+        fn = getattr(varcalc, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(varcalc, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    argv = ["laws", "--entry", "sl2-action2", "--lagrangian", "sigma_s^2/2"]
+    assert cli.run(argv) == 0
+    assert calls == {"_verify_boundary": 1, "verify_syzygies": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    assert cli.run(argv + ["--no-verify"]) == 0
+    capsys.readouterr()
+    assert calls == {"_verify_boundary": 0, "verify_syzygies": 0}
 
 
 # -- the Lagrangian contract, fuzzed -------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from framecalc import symexpr as se
 from framecalc import varcalc as vc
 from framecalc.jetcalc import JetSpace, MultiIndex, euler_operator, total_derivative
 from framecalc.symexpr import KIND_AUXILIARY
+from ibp_oracle import ibp_identity_holds, null_divergence_holds
 
 SURF_L = "sigma_x^2/2 + kappa_t^2/2 + sigma*kappa + sigma_t*kappa_x"
 
@@ -464,3 +466,107 @@ def test_surface_invariantized_infinitesimals(frames, contexts):
         for j in range(5):
             got = ctx.table.replace(om.at(i, j))
             assert se.is_zero(got - expected[i][j]), (i, j)
+
+
+# -- verification of the integration by parts ----------------------------------------
+
+DEMO_CASES = [
+    ("se2-curve", "kappa^2", False),
+    ("sl2-action1", "sigma_x^2/2", False),
+    ("sl2-action2", "sigma_s^2/2", False),
+    ("sl2-action3", "(sigma_s^2 + eta_s^2)/2", False),
+    ("sl2-surface", SURF_L, True),
+]
+
+
+@pytest.fixture(scope="module")
+def integrations(contexts):
+    """(L, ctx, work_js, V, E2, bc) of vc._integrate_by_parts, once per case."""
+    cache = {}
+
+    def get(name, ltext, syzygy=False):
+        key = (name, ltext, syzygy)
+        if key not in cache:
+            L, ctx = contexts(name, ltext, syzygy)
+            cache[key] = (L, ctx, *vc._integrate_by_parts(ctx))
+        return cache[key]
+
+    return get
+
+
+def _with_coeff(bc, key, value):
+    return vc.BoundaryCoefficients(bc.frame, bc.directions,
+                                   {**bc.coeffs, key: se.canonical(value)},
+                                   bc.max_j_order)
+
+
+@pytest.mark.parametrize("name,ltext,syzygy", DEMO_CASES,
+                         ids=[c[0] for c in DEMO_CASES])
+def test_formal_ibp_check_agrees_with_explicit_oracle(integrations, name, ltext,
+                                                      syzygy):
+    _, ctx, work, V, E2, bc = integrations(name, ltext, syzygy)
+    vc._verify_boundary(ctx, work, V, E2, bc, random.Random(5))
+    assert ibp_identity_holds(ctx, E2, bc, random.Random(5))
+    if syzygy:
+        vc._drop_multiplier_null_divergence(ctx, work, bc, random.Random(5))
+        assert null_divergence_holds(ctx, bc, random.Random(5))
+
+
+@pytest.mark.parametrize("name,ltext,syzygy", [DEMO_CASES[2], DEMO_CASES[4]],
+                         ids=["sl2-action2", "sl2-surface"])
+def test_ibp_check_rejects_doubled_boundary_coefficient(integrations, name,
+                                                        ltext, syzygy):
+    _, ctx, work, V, E2, bc = integrations(name, ltext, syzygy)
+    key, c = next(iter(bc.coeffs.items()))
+    bad = _with_coeff(bc, key, 2 * c)
+    with pytest.raises(vc.VerificationFailure, match="integration-by-parts"):
+        vc._verify_boundary(ctx, work, V, E2, bad, random.Random(5))
+
+
+def test_ibp_oracle_rejects_doubled_boundary_coefficient(integrations):
+    _, ctx, _, _, E2, bc = integrations("sl2-action1", "sigma_x^2/2")
+    key, c = next(iter(bc.coeffs.items()))
+    assert not ibp_identity_holds(ctx, E2, _with_coeff(bc, key, 2 * c),
+                                  random.Random(5))
+
+
+def test_ibp_check_rejects_scaled_syzygy_term(contexts):
+    # D_tau sigma = (D_x^3 + 2 sigma D_x + sigma_x) I^u_tau, with D_x^3 doubled:
+    # the integration by parts stays consistent, the syzygy does not hold.
+    L, ctx = contexts("sl2-action1", "sigma_x^2/2")
+    op = ctx.H.op("sigma", "u")
+    (J, a), *rest = reversed(op.terms)
+    bad_op = vc.LinDiffOp(op.independents, ((J, 2 * a), *rest))
+    bad_H = fr.SyzygyOperators(ctx.H.frame, ctx.H.generators, ctx.H.dependents,
+                               {**ctx.H.ops, ("sigma", "u"): bad_op})
+    bad_ctx = dataclasses.replace(ctx, H=bad_H)
+    with pytest.raises(vc.VerificationFailure, match="syzygy operators"):
+        vc.boundary_coeffs(L, bad_H, rng=random.Random(5), ctx=bad_ctx)
+
+
+def test_ibp_check_rejects_corrupted_isym_form(contexts, integrations):
+    # Claim I^u_{x tau} is twice what it is, in both directions of the
+    # tau expansions: the formal identity still holds, the explicit form
+    # of I^u_{x tau} does not.
+    L, ctx = contexts("sl2-action1", "sigma_x^2/2")
+    bc = integrations("sl2-action1", "sigma_x^2/2")[-1]
+    iname = fr._isym_name("u", MultiIndex((1,)), ("x",))
+    assert not bc.coeff("x", "u", MultiIndex((1,))).is_zero_literal()
+    half = {iname: se.canonical(ctx.spec.registry.expr(iname) / 2)}
+    bad_ctx = dataclasses.replace(
+        ctx,
+        expansions={k: se.subst(v, half) for k, v in ctx.expansions.items()},
+        isym_to_formal={**ctx.isym_to_formal,
+                        iname: se.canonical(2 * ctx.isym_to_formal[iname])})
+    with pytest.raises(vc.VerificationFailure, match=f"formal form of {iname}"):
+        vc.boundary_coeffs(L, ctx.H, rng=random.Random(5), ctx=bad_ctx)
+
+
+def test_null_divergence_rejects_corrupted_multiplier_coefficient(integrations):
+    _, ctx, work, _, _, bc = integrations("sl2-surface", SURF_L, True)
+    key, c, lam = next((k, c, lam) for k, c in bc.coeffs.items()
+                       if not (lam := vc._multiplier_part(c, ctx.inv_js))
+                       .is_zero_literal())
+    bad = _with_coeff(bc, key, c + lam)
+    with pytest.raises(vc.VerificationFailure, match="null divergence"):
+        vc._drop_multiplier_null_divergence(ctx, work, bad, random.Random(5))
