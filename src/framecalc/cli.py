@@ -115,7 +115,7 @@ def cmd_derive(args) -> dict:
     try:
         ctx = varcalc._context(frame, L)
         el = varcalc.invariant_el(L, ctx.H)
-        bc = varcalc.boundary_coeffs(L, ctx.H, verify=not args.no_verify,
+        bc = varcalc.boundary_coeffs(L, verify=not args.no_verify,
                                      rng=random.Random(args.seed), ctx=ctx)
         el_out = dict(el)
         lam = None

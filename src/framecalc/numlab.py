@@ -157,14 +157,11 @@ class Trajectory:
 
 _LAMBDIFY_MODULES = [{"sech": lambda x: 1.0 / np.cosh(x)}, "numpy"]
 
-
-def compile_expr(e: Expr, names: list[str]):
-    syms = {s.name: s for s in e.sympy.free_symbols}
-    missing = set(syms) - set(names)
-    if missing:
-        raise MissingVariableError(f"unbound variables {sorted(missing)}")
-    args = [syms.get(n, sp.Symbol(n)) for n in names]
-    return sp.lambdify(args, e.sympy, modules=_LAMBDIFY_MODULES)
+# Scalar functions for right-hand sides stepped in floats. math's tanh and
+# cosh round differently from numpy's in the last bit, so these two keep
+# numpy's values, which the array evaluation of trajectories also uses.
+_FLOAT_MODULES = [{"sech": lambda x: float(1.0 / np.cosh(x)),
+                   "tanh": lambda x: float(np.tanh(x))}, "math"]
 
 
 class ODESystem:
@@ -178,10 +175,13 @@ class ODESystem:
         self.entry = entry
         self.state = list(state)
         self.rhs = dict(rhs)
-        fns = []
-        for name in self.state:
-            fns.append(compile_expr(self.rhs[name], self.state))
-        self._fns = fns
+        exprs = [self.rhs[name].sympy for name in self.state]
+        syms = {s.name: s for e in exprs for s in e.free_symbols}
+        missing = set(syms) - set(self.state)
+        if missing:
+            raise MissingVariableError(f"unbound variables {sorted(missing)}")
+        args = [syms.get(n, sp.Symbol(n)) for n in self.state]
+        self._fn = sp.lambdify(args, exprs, modules=_FLOAT_MODULES)
 
     @staticmethod
     def solve_leading(eq: Expr, leading: str, registry) -> Expr:
@@ -193,36 +193,44 @@ class ODESystem:
         rest = eq.sympy - a * sym
         return canonical(Expr(sp.cancel(-rest / a)))
 
-    def f(self, y: np.ndarray) -> np.ndarray:
-        return np.array([fn(*y) for fn in self._fns], dtype=float)
+    def f(self, y: list[float]) -> list[float]:
+        return self._fn(*y)
 
 
 def integrate_el(system: ODESystem, init: dict[str, float], span: tuple[float, float],
-                 h: float, extra_columns: dict[str, Expr] | None = None) -> Trajectory:
-    """Classical fixed-step RK4. Raises BlowUpError (with location) when the
-    state exceeds 1e12."""
+                 h: float) -> Trajectory:
+    """Classical fixed-step RK4 on Python floats. Raises BlowUpError (with
+    location) when the state exceeds 1e12 or leaves the right-hand side's
+    real domain."""
     if h <= 0:
         raise NumericError("step must be positive")
     s0, s1 = span
     n = int(round((s1 - s0) / h))
     grid = s0 + h * np.arange(n + 1)
-    y = np.array([init[name] for name in system.state], dtype=float)
+    y = [float(init[name]) for name in system.state]
     out = np.empty((n + 1, len(y)))
     out[0] = y
-    for k in range(n):
-        k1 = system.f(y)
-        k2 = system.f(y + 0.5 * h * k1)
-        k3 = system.f(y + 0.5 * h * k2)
-        k4 = system.f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > 1e12:
-            raise BlowUpError(f"state blew up near s = {grid[k+1]:.6g}")
-        out[k + 1] = y
+    f = system.f
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    try:
+        for k in range(n):
+            k1 = f(y)
+            k2 = f([a + half_h * b for a, b in zip(y, k1)])
+            k3 = f([a + half_h * b for a, b in zip(y, k2)])
+            k4 = f([a + h * b for a, b in zip(y, k3)])
+            y = [a + sixth_h * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            if not all(abs(v) <= 1e12 for v in y):
+                raise BlowUpError(f"state blew up near s = {grid[k+1]:.6g}")
+            out[k + 1] = y
+    except (ZeroDivisionError, OverflowError, ValueError, TypeError):
+        # Python floats raise where IEEE arithmetic gives inf or nan (1/0.0,
+        # an overflowing power, math.sqrt of a negative); a negative base
+        # under a fractional power gives a complex, which the row
+        # assignment rejects.
+        raise BlowUpError("right-hand side has no finite real value near "
+                          f"s = {grid[k+1]:.6g}") from None
     states = {name: out[:, i].copy() for i, name in enumerate(system.state)}
-    if extra_columns:
-        for name, expr in extra_columns.items():
-            fn = compile_expr(expr, system.state)
-            states[name] = fn(*[states[s] for s in system.state]) * np.ones(n + 1)
     return Trajectory(system.entry, grid, states, {"h": h, "span": list(span)})
 
 
@@ -274,8 +282,11 @@ def check_constancy(laws: ConservationLawSet, traj: Trajectory,
 def law_constants(laws: ConservationLawSet, traj: Trajectory,
                   frame: MovingFrame | None = None) -> list[float]:
     """c_i = law components evaluated at the first node."""
-    return [float(evaluate_on(traj, comp)[0])
-            for comp in law_components_for(laws, traj, frame)]
+    return component_constants(law_components_for(laws, traj, frame), traj)
+
+
+def component_constants(comps: list[Expr], traj: Trajectory) -> list[float]:
+    return [float(evaluate_on(traj, comp)[0]) for comp in comps]
 
 
 # ---------------------------------------------------------------------------
@@ -759,11 +770,12 @@ def conservation_demo(name: str, h: float = 1e-3, span=(0.0, 10.0),
         frame, laws = entry_laws(name)
     traj = demo_trajectory(frame, h, span,
                            linear_chart=_use_linear_chart(frame))
-    check_constancy(laws, traj, tol=tol, report=report,
-                    label=f"{name} (h={h:g}, span={list(span)})", frame=frame)
+    comps = law_components_for(laws, traj, frame)
+    check_components(comps, traj, tol, report,
+                     f"{name} (h={h:g}, span={list(span)})")
     report.notes.append(
         f"{name}: constants c = "
-        + str([round(v, 10) for v in law_constants(laws, traj, frame)]))
+        + str([round(v, 10) for v in component_constants(comps, traj)]))
     _flag_demo_choice(report, name)
     return report
 
@@ -781,12 +793,12 @@ def reconstruction_demo(name: str, h: float = 1e-3, span=(0.0, 1.0),
     if frame is None or laws is None:
         frame, laws = entry_laws(name)
     traj = demo_trajectory(frame, h, span, reconstruction=True)
-    c = law_constants(laws, traj)
+    comps = law_components_for(laws, traj)
+    c = component_constants(comps, traj)
     if max(abs(v) for v in c) < 1e-10:
         raise DegenerateConstantsError(
             f"{name}: all constants vanish; the c = 0 case is out of scope")
-    check_constancy(laws, traj, tol=1e-6, report=report,
-                    label=f"{name} reconstruction run")
+    check_components(comps, traj, 1e-6, report, f"{name} reconstruction run")
     reconstruct_curve(name, traj, c, laws, report=report)
     _flag_demo_choice(report, name)
     if name != "se2-curve":

@@ -484,8 +484,7 @@ def _variation_integrand(ctx: DerivationContext, w_js: JetSpace,
     return canonical(out)
 
 
-def boundary_coeffs(L: InvariantLagrangian, H: SyzygyOperators,
-                    verify: bool = True,
+def boundary_coeffs(L: InvariantLagrangian, verify: bool = True,
                     rng: random.Random | None = None,
                     ctx: DerivationContext | None = None) -> BoundaryCoefficients:
     """Two-stage symbolic integration by parts.
@@ -797,7 +796,7 @@ def noether_laws(L: InvariantLagrangian, frame: MovingFrame,
     syzygy reduction."""
     spec = frame.spec
     ctx = _context(frame, L)
-    bc = boundary_coeffs(L, ctx.H, verify=verify, rng=rng, ctx=ctx)
+    bc = boundary_coeffs(L, verify=verify, rng=rng, ctx=ctx)
     el = invariant_el(L, ctx.H)
 
     relations = frame.relations

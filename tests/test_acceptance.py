@@ -535,6 +535,7 @@ GOLDEN_COMMANDS = {
                               "--no-verify"],
     "laws-sl2-action1.json": ["laws", "--entry", "sl2-action1",
                               "--lagrangian", "sigma_x^2/2", "--no-verify"],
+    "verify-fast.json": ["verify", "--fast"],
 }
 
 

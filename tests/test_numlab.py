@@ -5,6 +5,7 @@ import pytest
 
 from framecalc import numlab as nl
 from framecalc import symexpr as se
+from rk4_oracle import oracle_rhs, rk4_oracle
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +50,68 @@ def test_blowup_error_reported_with_location():
     with pytest.raises(nl.BlowUpError) as err:
         nl.integrate_el(sys_, {"y": 1.0}, (0.0, 2.0), 1e-3)
     assert "s = " in str(err.value)
+
+
+def _toy_system(rhs: dict[str, str]) -> nl.ODESystem:
+    reg = se.SymbolRegistry()
+    for name in rhs:
+        reg.register(name, se.KIND_AUXILIARY)
+    return nl.ODESystem("toy", list(rhs),
+                        {name: se.parse(text, reg) for name, text in rhs.items()})
+
+
+@pytest.mark.parametrize("rhs", [
+    "y^8",            # overflow of a float power
+    "1/(y - 1)",      # division by zero at the first stage
+    "sqrt(y - 2)",    # square root of a negative
+    "(y - 2)^(3/2)",  # canonical form y sqrt(y - 2) - 2 sqrt(y - 2)
+    "(y - 2)^(1/3)",  # a complex power of a negative base
+])
+def test_float_failures_reported_as_blowup(rhs):
+    with pytest.raises(nl.BlowUpError) as err:
+        nl.integrate_el(_toy_system({"y": rhs}), {"y": 1.0}, (0.0, 2.0), 1e-3)
+    assert "s = " in str(err.value)
+
+
+DEMO_CASES = [("se2-curve", False, False), ("sl2-action1", True, False),
+              ("sl2-action1", False, True), ("sl2-action2", False, False),
+              ("sl2-action3", False, False)]
+
+
+@pytest.mark.parametrize("name,linear_chart,reconstruction", DEMO_CASES)
+@pytest.mark.parametrize("h", [1e-2, 2.5e-3])
+def test_integrate_el_matches_numpy_oracle_bitwise(frames, name, linear_chart,
+                                                    reconstruction, h):
+    system = nl.demo_system(frames(name), linear_chart=linear_chart)
+    init = {k: v for k, v in nl.demo_init(name, reconstruction).items()
+            if k in system.state}
+    traj = nl.integrate_el(system, init, (0.0, 0.4), h)
+    ref = rk4_oracle(system, init, (0.0, 0.4), h)
+    assert list(ref) == system.state
+    for col in system.state:
+        assert np.array_equal(traj.states[col], ref[col]), col
+    _assert_rhs_matches_oracle(system, traj)
+
+
+def _assert_rhs_matches_oracle(system, traj):
+    # A last-bit difference in the right-hand side is mostly absorbed by
+    # the h/6 update, so the two right-hand sides are compared directly too.
+    f_ref = oracle_rhs(system)
+    rows = np.column_stack([traj.states[col] for col in system.state])
+    for row in rows:
+        assert np.array_equal(system.f([float(v) for v in row]), f_ref(row))
+
+
+@pytest.mark.parametrize("h", [1e-2, 2.5e-3])
+def test_integrate_el_matches_numpy_oracle_with_sech_and_tanh(h):
+    system = _toy_system({"y": "z",
+                          "z": "-sech(y)^2*tanh(y) + sqrt(1 + z^2)/4 + sin(y)*cos(z)"})
+    init = {"y": 0.3, "z": -0.7}
+    traj = nl.integrate_el(system, init, (0.0, 2.0), h)
+    ref = rk4_oracle(system, init, (0.0, 2.0), h)
+    for col in system.state:
+        assert np.array_equal(traj.states[col], ref[col]), col
+    _assert_rhs_matches_oracle(system, traj)
 
 
 def test_non_explicit_system_error(frames):

@@ -177,7 +177,7 @@ def test_boundary_constant_lagrangian_all_zero(frames):
     frame = frames("sl2-action1")
     L = vc.make_lagrangian(frame, se.integer(2))
     ctx = vc._context(frame, L)
-    bc = vc.boundary_coeffs(L, ctx.H, verify=False, ctx=ctx)
+    bc = vc.boundary_coeffs(L, verify=False, ctx=ctx)
     assert all(c.is_zero_literal() for c in bc.coeffs.values())
 
 
@@ -541,7 +541,7 @@ def test_ibp_check_rejects_scaled_syzygy_term(contexts):
                                {**ctx.H.ops, ("sigma", "u"): bad_op})
     bad_ctx = dataclasses.replace(ctx, H=bad_H)
     with pytest.raises(vc.VerificationFailure, match="syzygy operators"):
-        vc.boundary_coeffs(L, bad_H, rng=random.Random(5), ctx=bad_ctx)
+        vc.boundary_coeffs(L, rng=random.Random(5), ctx=bad_ctx)
 
 
 def test_ibp_check_rejects_corrupted_isym_form(contexts, integrations):
@@ -559,7 +559,7 @@ def test_ibp_check_rejects_corrupted_isym_form(contexts, integrations):
         isym_to_formal={**ctx.isym_to_formal,
                         iname: se.canonical(2 * ctx.isym_to_formal[iname])})
     with pytest.raises(vc.VerificationFailure, match=f"formal form of {iname}"):
-        vc.boundary_coeffs(L, ctx.H, rng=random.Random(5), ctx=bad_ctx)
+        vc.boundary_coeffs(L, rng=random.Random(5), ctx=bad_ctx)
 
 
 def test_null_divergence_rejects_corrupted_multiplier_coefficient(integrations):
